@@ -127,24 +127,11 @@ def run_all(quick: bool, repeats: Optional[int] = None) -> dict:
 
     recorded_dispatch = seed_baseline.get("dispatch", {}).get("dispatches_per_sec")
     dispatch = _best_of(
-        repeats, scenarios.bench_dispatch, n_dispatch,
-        incremental=True, key="dispatches_per_sec",
+        repeats, scenarios.bench_dispatch, n_dispatch, key="dispatches_per_sec",
     )
     rows.append(
         _bench_row(
             "dispatch_incremental", "dispatches_per_sec", dispatch["dispatches_per_sec"],
-            None if quick else recorded_dispatch, "recorded seed_baseline.json",
-            {"n_requests": n_dispatch},
-        )
-    )
-    dispatch_legacy = _best_of(
-        repeats, scenarios.bench_dispatch, n_dispatch,
-        incremental=False, key="dispatches_per_sec",
-    )
-    rows.append(
-        _bench_row(
-            "dispatch_explicit_list", "dispatches_per_sec",
-            dispatch_legacy["dispatches_per_sec"],
             None if quick else recorded_dispatch, "recorded seed_baseline.json",
             {"n_requests": n_dispatch},
         )
@@ -251,7 +238,6 @@ def run_all(quick: bool, repeats: Optional[int] = None) -> dict:
 
     return {
         "schema_version": SCHEMA_VERSION,
-        "pr": "PR9",
         "created_unix": time.time(),
         "quick": quick,
         "host": {
@@ -316,6 +302,9 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     document = run_all(quick=args.quick, repeats=args.repeats)
+    # the document names the PR its file is for: BENCH_PR9.json -> "PR9"
+    stem = Path(args.output).stem
+    document["pr"] = stem[len("BENCH_"):] if stem.startswith("BENCH_") else stem
     # atomic replace: an interrupted run never leaves a truncated BENCH file
     from repro.ioutil import atomic_write_text
 

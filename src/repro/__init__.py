@@ -33,7 +33,7 @@ from repro.core.policy import (
     policy_names,
     register_policy,
 )
-from repro.simulation import SimulationResult, SimulationRunner, run_fixed_allocation
+from repro.simulation import SimulationResult, SimulationRunner
 
 __version__ = "1.1.0"
 
@@ -51,6 +51,5 @@ __all__ = [
     "register_policy",
     "SimulationRunner",
     "SimulationResult",
-    "run_fixed_allocation",
     "__version__",
 ]

@@ -29,10 +29,10 @@ request.  Entries are validated lazily at pick time, so code that
 bypasses the dispatcher (tests submitting to containers directly) can
 never corrupt a dispatch, only leave a stale entry to be discarded.
 
-The explicit ``containers=[...]`` calling convention of the seed API is
-still supported for callers that manage their own container lists
-(unit tests and ad-hoc harnesses; every built-in control-plane policy
-now attaches to the cluster and uses the incremental index).
+The idle index is the only source of candidate containers: every
+control-plane policy attaches its dispatcher to the cluster, and
+standalone containers (unit tests, benchmarks) are tracked with
+:meth:`SharedQueueDispatcher.watch_container`.
 """
 
 from __future__ import annotations
@@ -94,9 +94,9 @@ class SharedQueueDispatcher:
     def attach_cluster(self, cluster) -> None:
         """Maintain idle sets from the cluster's container state changes.
 
-        After attaching, ``submit``/``drain`` may be called without an
-        explicit container list.  Containers that already exist are
-        indexed immediately.
+        ``submit``/``drain`` then dispatch onto the cluster's idle
+        containers.  Containers that already exist are indexed
+        immediately.
         """
         self._attached = True
         cluster.on_container_state(self._on_container_state)
@@ -201,22 +201,15 @@ class SharedQueueDispatcher:
         container.submit(request, self.engine, self._completion_hook)
         return True
 
-    def submit(self, request: Request, containers: Optional[Sequence[Container]] = None) -> bool:
-        """Dispatch a new request.
-
-        With ``containers=None`` the incremental idle index is used
-        (requires :meth:`attach_cluster`); passing an explicit container
-        list preserves the seed behaviour of filtering it on the spot.
+    def submit(self, request: Request) -> bool:
+        """Dispatch a new request onto an idle container from the index.
 
         Returns ``True`` if the request started on an idle container
         immediately, ``False`` if it was queued — or if the chosen
         container crashed on dispatch (fault injection), in which case
         the request was failed, not queued.
         """
-        if containers is None:
-            idle = self._idle_candidates(request.function_name)
-        else:
-            idle = [c for c in containers if c.is_dispatchable]
+        idle = self._idle_candidates(request.function_name)
         chosen = self.balancer.pick(request.function_name, idle) if idle else None
         if chosen is None:
             queue = self._queues.get(request.function_name)
@@ -227,7 +220,7 @@ class SharedQueueDispatcher:
             return False
         return self._dispatch_to(chosen, request)
 
-    def drain(self, function_name: str, containers: Optional[Sequence[Container]] = None) -> int:
+    def drain(self, function_name: str) -> int:
         """Move as many queued requests as possible onto idle containers.
 
         Returns the number of requests that started executing.
@@ -235,10 +228,7 @@ class SharedQueueDispatcher:
         queue = self._queues.get(function_name)
         if not queue:
             return 0
-        if containers is None:
-            idle = self._idle_candidates(function_name)
-        else:
-            idle = [c for c in containers if c.is_dispatchable]
+        idle = self._idle_candidates(function_name)
         started = 0
         while queue and idle:
             request = queue.popleft()

@@ -215,19 +215,12 @@ class PolicyDescriptor:
         Optional eager validator called at *spec construction* time, so
         a sweep with a typo'd ``policy_params`` fails before any shard
         runs.  Receives the params mapping; raises ``ValueError``.
-    legacy_workload_rng:
-        When true, the :class:`~repro.simulation.SimulationRunner` wires
-        the workload generators without a dedicated ``work:`` RNG stream
-        (work draws interleave with arrival draws) — the wiring the
-        historical ``kind="openwhisk"`` harness used, kept so the alias
-        stays byte-identical to its pre-policy output.
     """
 
     name: str
     summary: str
     factory: PolicyFactory
     validate_params: Optional[Callable[[Mapping[str, Any]], None]] = None
-    legacy_workload_rng: bool = False
 
 
 _REGISTRY: Dict[str, PolicyDescriptor] = {}
@@ -257,7 +250,6 @@ def register_policy(
     name: str,
     summary: str,
     validate_params: Optional[Callable[[Mapping[str, Any]], None]] = None,
-    legacy_workload_rng: bool = False,
 ) -> Callable[[PolicyFactory], PolicyFactory]:
     """Decorator: register a policy factory under ``name``.
 
@@ -276,7 +268,6 @@ def register_policy(
             summary=summary,
             factory=factory,
             validate_params=validate_params,
-            legacy_workload_rng=legacy_workload_rng,
         )
         return factory
 

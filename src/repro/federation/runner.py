@@ -198,11 +198,6 @@ class FederatedSimulationRunner:
                     slo_deadline=binding.slo_deadline,
                 ))
             descriptor = get_policy(site.spec.policy)
-            if descriptor.legacy_workload_rng:
-                raise ValueError(
-                    f"site {site.name!r}: policy {site.spec.policy!r} uses the "
-                    f"legacy interleaved workload RNG and cannot run federated"
-                )
             context = PolicyContext(
                 engine=self.engine,
                 cluster=site.cluster,

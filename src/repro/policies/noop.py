@@ -1,18 +1,13 @@
 """The no-op policy: LaSS's data path with the control loop removed.
 
-``run_fixed_allocation`` — the Figures 3/4 model-validation atom — used
-to fake "no control loop" by giving :class:`LassController` an epoch
-longer than the experiment.  :class:`NoOpPolicy` makes that explicit: it
-is exactly the shared-queue WRR data path (dispatch to an idle
-container, FCFS queue otherwise, drain on warm-up/completion) with *no*
-scaling of any kind — containers are whatever the harness created
+:class:`NoOpPolicy` is exactly the shared-queue WRR data path (dispatch
+to an idle container, FCFS queue otherwise, drain on warm-up/completion)
+with *no* scaling of any kind — containers are whatever the run created
 (``warm_start`` prewarming, or explicit ``create_container`` calls).
-
-The event stream it produces is byte-identical to the disabled-LaSS
-construction it replaces: both attach the same
-:class:`~repro.core.dispatch.SharedQueueDispatcher` to the cluster,
-record arrivals/completions into the same collector, and never schedule
-a control event.
+The Figures 3/4 model-validation atom (``kind="fixed"`` scenarios) runs
+on it: a :class:`~repro.simulation.SimulationRunner` prewarms the fixed
+fleet, optionally deflates it, and the policy never schedules a control
+event.
 """
 
 from __future__ import annotations

@@ -443,7 +443,7 @@ def _fig8(phase_duration: float = 180.0, seed: int = 8,
         {"controller.reclamation": "deflation", "name": "fig8-deflation"},
     ]
     if include_openwhisk:
-        points.append({"kind": "openwhisk", "name": "fig8-openwhisk",
+        points.append({"controller.policy": "openwhisk", "name": "fig8-openwhisk",
                        "warm_start": {}, "metrics": ["counters"]})
     return SweepSpec(
         name="fig8",
@@ -748,9 +748,9 @@ def _shootout_sweep(name: str, duration: float, seed: int,
     policies face identical arrival randomness and — in the faulted
     arms — the identical node-outage schedule; the ``static`` arm's
     allocation is solved from the same M/M/c model LaSS uses, making it
-    the "provision once for this exact load" operator.  (The openwhisk
-    arm replays the arrival stream with its historical interleaved work
-    draws — see ``PolicyDescriptor.legacy_workload_rng``.)
+    the "provision once for this exact load" operator.  Every arm also
+    draws the identical per-request work sequence (each generator has
+    its own ``work:`` RNG stream).
     """
     from repro.core.queueing.sizing import required_containers
     from repro.workloads.functions import get_function

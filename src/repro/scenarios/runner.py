@@ -25,8 +25,8 @@ Results schema (``repro/scenario-result@1``)
       },
       "allocation": {...}      # kind="fixed" only: resolved container plan
       "rows": [...]            # table-like kinds (sizing/deflation/catalogue)
-      "openwhisk": {...}       # openwhisk policy (or the kind alias) only:
-                               # invoker failures (ControlPolicy.results_extra)
+      "openwhisk": {...}       # openwhisk policy only: invoker failures
+                               # (ControlPolicy.results_extra)
       "faults": {...}          # only when the spec carries a FaultSpec:
                                # availability, failed/requeued requests,
                                # per-failure recovery times
@@ -292,56 +292,49 @@ def _resolve_allocation(spec: ScenarioSpec) -> Dict[str, Any]:
 
 
 def _run_fixed(spec: ScenarioSpec) -> ScenarioOutcome:
-    """Single function against a fixed allocation (Figures 3/4 atom)."""
-    from repro.simulation import run_fixed_allocation
+    """Single function against a fixed allocation (Figures 3/4 atom).
 
-    workload = spec.workloads[0]
+    A :class:`~repro.simulation.SimulationRunner` under the ``noop``
+    policy (no control loop) prewarms the resolved container count,
+    applies the deflation plan to the warm containers, then runs.
+    Without an explicit cluster the fleet gets a generous isolation
+    cluster, so these experiments measure queueing, not placement.
+    """
+    from repro.cluster.cluster import ClusterConfig
+    from repro.simulation import SimulationRunner
+
+    binding = spec.workloads[0].build()
+    name = binding.profile.name
     resolved = _resolve_allocation(spec)
-    result = run_fixed_allocation(
-        binding=workload.build(),
-        containers=resolved["containers"],
-        duration=spec.duration,
-        cluster_config=spec.cluster.build() if spec.cluster is not None else None,
+    containers = resolved["containers"]
+    if spec.cluster is not None:
+        cluster_config = spec.cluster.build()
+    else:
+        cluster_config = ClusterConfig(node_count=max(3, containers), cpu_per_node=8.0,
+                                       memory_per_node_mb=32 * 1024.0)
+    runner = SimulationRunner(
+        workloads=[binding],
+        cluster_config=cluster_config,
         seed=spec.seed,
-        deflation_plan=resolved.get("deflation_plan"),
-        extra_drain=spec.extra_drain,
+        warm_start_containers={name: containers},
+        policy="noop",
         data_plane=spec.data_plane,
     )
+    runner.prewarm()
+    plan = resolved.get("deflation_plan")
+    if plan is not None:
+        live = runner.cluster.containers_of(name)
+        if len(plan) != len(live):
+            raise ValueError("deflation_plan length must match the container count")
+        for container, fraction in zip(live, plan):
+            container.deflate_to(container.standard_cpu * fraction)
+    result = runner.run(duration=spec.duration, extra_drain=spec.extra_drain)
     data = _envelope(
         spec,
         metrics=_collect_metrics(spec, result),
         allocation=resolved,
     )
     return ScenarioOutcome(spec=spec, data=data, sim=result)
-
-
-# ----------------------------------------------------------------------
-# kind = "openwhisk"
-# ----------------------------------------------------------------------
-def _run_openwhisk(spec: ScenarioSpec) -> ScenarioOutcome:
-    """Alias executor: fold ``kind="openwhisk"`` into simulate + policy.
-
-    The alias is kept for backwards compatibility; it rewrites the spec
-    to ``kind="simulate"`` with ``controller.policy="openwhisk"`` and
-    runs the unified executor.  Two normalisations keep the output
-    byte-identical to the historical bespoke harness: metrics are
-    reduced to the counters group (all the old harness ever reported)
-    and ``warm_start`` is cleared (the old harness ignored it).  The
-    results envelope echoes the *original* alias spec.
-    """
-    import dataclasses
-
-    folded = dataclasses.replace(
-        spec,
-        kind="simulate",
-        controller=dataclasses.replace(spec.controller, policy="openwhisk"),
-        metrics=("counters",),
-        warm_start={},
-    )
-    outcome = _run_simulate(folded)
-    data = dict(outcome.data)
-    data["scenario"] = spec.to_dict()
-    return ScenarioOutcome(spec=spec, data=data, sim=outcome.sim)
 
 
 # ----------------------------------------------------------------------
@@ -429,23 +422,22 @@ def _run_sizing_benchmark(spec: ScenarioSpec) -> ScenarioOutcome:
 def _measured_service_time(profile, ratio: float, duration: float, seed: int,
                            extra_drain: float = 5.0) -> float:
     """Empirical mean service time at one deflation level (one container, light load)."""
-    from repro.simulation import run_fixed_allocation
-    from repro.workloads.generator import WorkloadBinding
-    from repro.workloads.schedules import StaticRate
+    from repro.scenarios.spec import AllocationSpec, ScheduleSpec, WorkloadSpec
 
     # light load: well below one container's capacity so queueing never interferes
     lam = 0.3 * profile.service_rate
-    binding = WorkloadBinding(
-        profile=profile, schedule=StaticRate(lam, duration=duration), slo_deadline=None
-    )
-    result = run_fixed_allocation(
-        binding=binding,
-        containers=1,
+    spec = ScenarioSpec(
+        name=f"deflation-{profile.name}",
+        kind="fixed",
+        workloads=(WorkloadSpec(profile.name, ScheduleSpec.static(lam, duration=duration),
+                                slo_deadline=None),),
+        allocation=AllocationSpec(containers=1, deflation_plan=(1.0 - ratio,)),
         duration=duration,
         seed=seed,
-        deflation_plan=[1.0 - ratio],
+        metrics=(),
         extra_drain=extra_drain,
     )
+    result = _run_fixed(spec).sim
     completed = result.metrics.completed_requests(profile.name)
     times = [r.service_time for r in completed if r.service_time is not None]
     if not times:
@@ -512,7 +504,6 @@ def _run_catalogue(spec: ScenarioSpec) -> ScenarioOutcome:
 _EXECUTORS: Dict[str, Callable[[ScenarioSpec], ScenarioOutcome]] = {
     "simulate": _run_simulate,
     "fixed": _run_fixed,
-    "openwhisk": _run_openwhisk,
     "sizing_benchmark": _run_sizing_benchmark,
     "deflation_curve": _run_deflation_curve,
     "catalogue": _run_catalogue,

@@ -19,17 +19,11 @@ Scenario kinds
     ``hybrid``, ``noop``, or a third-party registration — drops in).
     This is the kind user-defined scenarios normally use.
 ``fixed``
-    A single function against a *fixed* container allocation
-    (:func:`~repro.simulation.run_fixed_allocation`), with the container
-    count either given explicitly or derived from a queueing model at
-    run time.  The model-validation experiments (Figures 3 and 4) are
-    sweeps of this kind.
-``openwhisk``
-    Backwards-compatible alias for ``simulate`` with
-    ``controller.policy="openwhisk"`` (the third arm of Figure 8).  The
-    runner folds it into the simulate executor; its results envelope —
-    counters plus the ``openwhisk`` invoker-failure group — is
-    byte-identical to the historical bespoke harness.
+    A single function against a *fixed* container allocation (a
+    :class:`~repro.simulation.SimulationRunner` under the ``noop``
+    policy), with the container count either given explicitly or
+    derived from a queueing model at run time.  The model-validation
+    experiments (Figures 3 and 4) are sweeps of this kind.
 ``sizing_benchmark``
     No simulation: time the container-sizing implementations against
     each other (Figure 5).
@@ -74,7 +68,6 @@ SCENARIO_SCHEMA = "repro/scenario@1"
 SCENARIO_KINDS = (
     "simulate",
     "fixed",
-    "openwhisk",
     "sizing_benchmark",
     "deflation_curve",
     "catalogue",
@@ -82,7 +75,7 @@ SCENARIO_KINDS = (
 )
 
 #: Kinds that drive the discrete-event simulator (and therefore need workloads).
-SIMULATION_KINDS = ("simulate", "fixed", "openwhisk")
+SIMULATION_KINDS = ("simulate", "fixed")
 
 #: Metric groups a scenario may request in its results.
 KNOWN_METRICS = (
@@ -631,13 +624,6 @@ class ScenarioSpec:
             if self.workloads:
                 raise ValueError("kind 'trace_replay' synthesises its own workloads")
             _validate_trace_replay_params(self.params)
-        if self.kind == "openwhisk" and self.controller.policy not in ("lass", "openwhisk"):
-            # the alias always runs the openwhisk policy; naming another
-            # one is a contradiction ("lass" — the default — means unset)
-            raise ValueError(
-                f"kind 'openwhisk' cannot run policy {self.controller.policy!r}; "
-                "use kind 'simulate' with controller.policy instead"
-            )
         if self.faults is not None:
             if self.faults.is_empty():
                 # normalise: an empty schedule IS the healthy scenario, and

@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.cluster.cluster import ClusterConfig, EdgeCluster
 from repro.core.controller import ControllerConfig
-from repro.core.policy import ControlPolicy, PolicyContext, build_policy, get_policy
+from repro.core.policy import ControlPolicy, PolicyContext, get_policy
 from repro.core.estimation.service_time import ServiceTimeProfile
 from repro.core.allocation.hierarchy import SchedulingTree
 from repro.faults.injector import FaultInjector
@@ -95,7 +95,10 @@ class SimulationRunner:
     warm_start_containers:
         Per-function number of containers to create before the workload
         starts, so experiments that study steady-state behaviour do not
-        measure the very first cold start.
+        measure the very first cold start.  With the ``"noop"`` policy
+        this is the whole fleet: the fixed-allocation experiments
+        (``kind="fixed"``) call :meth:`prewarm` themselves, adjust the
+        warm containers (e.g. deflate some), then :meth:`run`.
     arrival_batch_size:
         Arrivals scheduled per engine batch by each generator (see
         :class:`~repro.workloads.generator.ArrivalGenerator`); results
@@ -193,19 +196,14 @@ class SimulationRunner:
             service_profiles=profiles,
             default_service_rates=default_rates,
         )
-        legacy_workload_rng = False
         if isinstance(policy, str):
-            descriptor = get_policy(policy)
-            legacy_workload_rng = descriptor.legacy_workload_rng
-            self.policy: ControlPolicy = descriptor.factory(
+            self.policy: ControlPolicy = get_policy(policy).factory(
                 context, dict(policy_params or {})
             )
         else:
             if policy_params:
                 raise ValueError("policy_params require a registered policy name")
             self.policy = policy(context)
-        #: backwards-compatible alias — the policy IS the controller
-        self.controller = self.policy
 
         self.generators: List[ArrivalGenerator] = []
         for binding in self.bindings:
@@ -217,12 +215,7 @@ class SimulationRunner:
                 rng=self.rng.stream(f"arrivals:{binding.profile.name}"),
                 slo_deadline=binding.slo_deadline,
                 batch_size=arrival_batch_size,
-                # the openwhisk policy keeps the historical wiring (work
-                # interleaved with arrivals) so the kind="openwhisk"
-                # scenario alias stays byte-identical to its pre-policy
-                # output; every other policy gets the dedicated stream
-                work_rng=(None if legacy_workload_rng
-                          else self.rng.stream(f"work:{binding.profile.name}")),
+                work_rng=self.rng.stream(f"work:{binding.profile.name}"),
             )
             self.generators.append(generator)
 
@@ -243,9 +236,15 @@ class SimulationRunner:
     # Execution
     # ------------------------------------------------------------------
     def prewarm(self) -> None:
-        """Create the requested warm-start containers and let them finish cold start."""
+        """Create the requested warm-start containers and let them finish cold start.
+
+        Idempotent: the containers are created on the first call only,
+        so :meth:`run` (which always prewarms) may follow an explicit
+        call that adjusted the warm fleet in between.
+        """
+        warm_start, self._warm_start = self._warm_start, {}
         created = []
-        for name, count in self._warm_start.items():
+        for name, count in warm_start.items():
             for _ in range(count):
                 created.append(self.cluster.create_container(name))
         if not created:
@@ -291,106 +290,10 @@ class SimulationRunner:
         return SimulationResult(
             metrics=self.metrics,
             cluster=self.cluster,
-            controller=self.controller,
+            controller=self.policy,
             duration=duration,
             generated_requests=generated,
         )
 
 
-def run_fixed_allocation(
-    binding: WorkloadBinding,
-    containers: int,
-    duration: float,
-    cluster_config: Optional[ClusterConfig] = None,
-    seed: int = 1,
-    deflation_plan: Optional[Sequence[float]] = None,
-    extra_drain: float = 5.0,
-    data_plane: str = "event",
-) -> SimulationResult:
-    """Run a single function against a *fixed* container allocation (no autoscaling).
-
-    Used by the model-validation experiments (Figures 3 and 4): the model
-    chooses ``containers`` ahead of time, the allocation stays fixed, and
-    the measured waiting-time percentiles are compared against the SLO.
-
-    Parameters
-    ----------
-    deflation_plan:
-        Optional per-container CPU fractions (e.g. ``[0.7, 0.7, 1.0, 1.0]``)
-        applied after the containers warm up, to create a heterogeneous
-        configuration.
-    extra_drain:
-        Seconds the event loop runs past the workload horizon so
-        in-flight requests can complete and be counted.
-    data_plane:
-        ``"event"`` (default/oracle) or ``"columnar"`` — same contract
-        as :class:`SimulationRunner`.
-    """
-    if containers < 1:
-        raise ValueError("containers must be >= 1")
-    if data_plane not in ("event", "columnar"):
-        raise ValueError(
-            f"unknown data_plane {data_plane!r}; valid: 'event', 'columnar'"
-        )
-    engine = SimulationEngine()
-    rng = RngStreams(seed)
-    # size the "cluster" generously: these experiments isolate the queueing
-    # behaviour from placement constraints
-    config = cluster_config or ClusterConfig(
-        node_count=max(3, containers), cpu_per_node=8.0, memory_per_node_mb=32 * 1024.0
-    )
-    cluster = EdgeCluster(engine, config)
-    metrics = MetricsCollector()
-    deployment = binding.profile.to_deployment(
-        weight=binding.weight, user=binding.user, slo_deadline=binding.slo_deadline
-    )
-    cluster.deploy(deployment)
-
-    # the explicit no-control-loop policy: pure WRR dispatch over the
-    # fixed fleet (replaces the historical disabled-LassController trick,
-    # with a byte-identical event stream)
-    policy = build_policy(
-        "noop", PolicyContext(engine=engine, cluster=cluster, metrics=metrics)
-    )
-
-    for _ in range(containers):
-        cluster.create_container(binding.profile.name)
-    engine.run(until=config.cold_start_latency + 1e-6)
-
-    if deflation_plan is not None:
-        live = cluster.containers_of(binding.profile.name)
-        if len(deflation_plan) != len(live):
-            raise ValueError("deflation_plan length must match the container count")
-        for container, fraction in zip(live, deflation_plan):
-            container.deflate_to(container.standard_cpu * fraction)
-
-    generator = ArrivalGenerator(
-        engine=engine,
-        profile=binding.profile,
-        schedule=binding.schedule,
-        dispatch=policy.dispatch,
-        rng=rng.stream(f"arrivals:{binding.profile.name}"),
-        slo_deadline=binding.slo_deadline,
-        horizon=duration,
-        work_rng=rng.stream(f"work:{binding.profile.name}"),
-    )
-    kernel = None
-    if data_plane == "columnar":
-        from repro.sim.columnar import build_kernel
-
-        kernel = build_kernel(engine, cluster, policy, [generator])
-    if kernel is not None:
-        kernel.run(until=duration + extra_drain)
-    else:
-        generator.start()
-        engine.run(until=duration + extra_drain)
-    return SimulationResult(
-        metrics=metrics,
-        cluster=cluster,
-        controller=policy,
-        duration=duration,
-        generated_requests={binding.profile.name: generator.generated},
-    )
-
-
-__all__ = ["SimulationRunner", "SimulationResult", "run_fixed_allocation"]
+__all__ = ["SimulationRunner", "SimulationResult"]

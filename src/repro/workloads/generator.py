@@ -160,8 +160,11 @@ class ArrivalGenerator:
         Callback receiving each created :class:`Request` (normally
         ``LassController.dispatch``).
     rng:
-        Random generator for inter-arrival times (and for work sampling
-        when ``work_rng`` is not given).
+        Random generator for inter-arrival times.
+    work_rng:
+        Dedicated random generator for per-request work sampling, kept
+        separate from ``rng`` so the work sequence does not depend on
+        how arrival draws are batched.
     slo_deadline:
         Relative SLO deadline stamped onto each request (``None`` for no SLO).
     horizon:
@@ -177,11 +180,7 @@ class ArrivalGenerator:
         ``schedule_many``; ``batch_size=1`` reproduces the seed
         implementation's one-event-per-arrival cadence (used by the
         determinism regression test).  Results are independent of
-        ``batch_size`` when ``work_rng`` is a separate stream.
-    work_rng:
-        Optional dedicated stream for per-request work sampling.  When
-        omitted, work is drawn from ``rng`` (deterministic for a fixed
-        ``batch_size``, but interleaved with arrival sampling).
+        ``batch_size``.
     """
 
     def __init__(
@@ -191,11 +190,11 @@ class ArrivalGenerator:
         schedule: RateSchedule,
         dispatch: Callable[[Request], None],
         rng: np.random.Generator,
+        work_rng: np.random.Generator,
         slo_deadline: Optional[float] = 0.1,
         horizon: Optional[float] = None,
         thinning_window: float = 5.0,
         batch_size: int = 256,
-        work_rng: Optional[np.random.Generator] = None,
     ) -> None:
         """Wire the generator's sampler and RNG streams (see the class docstring for parameter semantics)."""
         if thinning_window <= 0:
@@ -207,7 +206,7 @@ class ArrivalGenerator:
         self.schedule = schedule
         self.dispatch = dispatch
         self.rng = rng
-        self.work_rng = work_rng if work_rng is not None else rng
+        self.work_rng = work_rng
         self.slo_deadline = slo_deadline
         self.horizon = horizon if horizon is not None else schedule.end_time
         self.thinning_window = float(thinning_window)
@@ -275,10 +274,9 @@ class ArrivalGenerator:
         them through engine events.  RNG consumption is *identical* to
         the event-driven path: batches of ``batch_size`` arrivals are
         drawn from the sampler and each batch's work is drawn
-        immediately afterwards, exactly mirroring :meth:`_pump`'s
-        interleaving (which matters when ``work_rng`` is the shared
-        arrival stream).  Marks the generator as started; a generator
-        can drive exactly one of the two data planes.
+        immediately afterwards, exactly mirroring :meth:`_pump`.  Marks
+        the generator as started; a generator can drive exactly one of
+        the two data planes.
         """
         if self._started:
             raise RuntimeError("generator already started")

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.baselines.openwhisk import OpenWhiskConfig, VanillaOpenWhiskController
-from repro.baselines.reactive import ConcurrencyAutoscaler, ReactiveControllerConfig
-from repro.baselines.static_allocation import StaticAllocationController
+from repro.policies.openwhisk import OpenWhiskConfig, VanillaOpenWhiskController
+from repro.policies.reactive import ConcurrencyAutoscaler, ReactiveControllerConfig
+from repro.policies.static_allocation import StaticAllocationController
 from repro.cluster.cluster import ClusterConfig, EdgeCluster
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import SimulationEngine
@@ -27,7 +27,7 @@ def build(controller_factory, bindings, duration, cluster_config=None, seed=31):
         ArrivalGenerator(
             engine=engine, profile=profile, schedule=schedule,
             dispatch=controller.dispatch, rng=rng.stream(f"a:{profile.name}"),
-            slo_deadline=slo, horizon=duration,
+            work_rng=rng.stream(f"w:{profile.name}"), slo_deadline=slo, horizon=duration,
         ).start()
     engine.run(until=duration + 5.0)
     return controller, metrics, cluster

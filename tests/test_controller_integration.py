@@ -4,7 +4,14 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig
 from repro.core.controller import ControllerConfig, ReclamationPolicy
-from repro.simulation import SimulationRunner, run_fixed_allocation
+from repro.scenarios import (
+    AllocationSpec,
+    ScenarioSpec,
+    ScheduleSpec,
+    WorkloadSpec,
+    run_scenario,
+)
+from repro.simulation import SimulationRunner
 from repro.workloads.functions import get_function, microbenchmark
 from repro.workloads.generator import WorkloadBinding
 from repro.workloads.schedules import StaticRate, StepSchedule
@@ -86,26 +93,38 @@ class TestSteadyStateAutoscaling:
         assert result.metrics.counters.get("reactive_scale_ups", 0) >= 1
 
 
+def run_fixed(workload, containers, duration, deflation_plan=None):
+    """One ``kind="fixed"`` scenario; returns the live simulation result."""
+    spec = ScenarioSpec(
+        name="fixed-test",
+        kind="fixed",
+        workloads=(workload,),
+        allocation=AllocationSpec(containers=containers, deflation_plan=deflation_plan),
+        duration=duration,
+    )
+    return run_scenario(spec).sim
+
+
 class TestFixedAllocationHarness:
     def test_fixed_allocation_never_autoscale(self):
-        binding = WorkloadBinding(microbenchmark(0.1), StaticRate(20.0, duration=60.0))
-        result = run_fixed_allocation(binding, containers=4, duration=60.0)
+        workload = WorkloadSpec("microbenchmark", ScheduleSpec.static(20.0, duration=60.0),
+                                service_time=0.1)
+        result = run_fixed(workload, containers=4, duration=60.0)
         _, counts = result.container_timeline("microbenchmark")
         assert all(c == 4 for c in counts) or counts == []
         assert result.cluster.container_count("microbenchmark") == 4
 
     def test_deflation_plan_applied(self):
-        binding = WorkloadBinding(get_function("squeezenet"), StaticRate(10.0, duration=30.0))
-        result = run_fixed_allocation(
-            binding, containers=3, duration=30.0, deflation_plan=[0.7, 1.0, 1.0]
-        )
+        workload = WorkloadSpec("squeezenet", ScheduleSpec.static(10.0, duration=30.0))
+        result = run_fixed(workload, containers=3, duration=30.0,
+                           deflation_plan=(0.7, 1.0, 1.0))
         fractions = sorted(c.cpu_fraction for c in result.cluster.containers_of("squeezenet"))
         assert fractions[0] == pytest.approx(0.7)
 
     def test_deflation_plan_length_mismatch_rejected(self):
-        binding = WorkloadBinding(get_function("squeezenet"), StaticRate(10.0, duration=30.0))
-        with pytest.raises(ValueError):
-            run_fixed_allocation(binding, containers=3, duration=30.0, deflation_plan=[0.7])
+        workload = WorkloadSpec("squeezenet", ScheduleSpec.static(10.0, duration=30.0))
+        with pytest.raises(ValueError, match="deflation_plan length"):
+            run_fixed(workload, containers=3, duration=30.0, deflation_plan=(0.7,))
 
 
 class TestOverloadFairShare:
@@ -134,7 +153,7 @@ class TestOverloadFairShare:
         result = runner.run(duration=duration)
         epochs = result.metrics.epochs
         assert any(e.overloaded for e in epochs)
-        guaranteed = runner.controller.guaranteed_cpu_shares()
+        guaranteed = runner.policy.guaranteed_cpu_shares()
         # in the second half (steady overload) each function holds at least
         # its guaranteed share minus one container of slack
         for name in ("microbenchmark", "squeezenet"):
@@ -173,7 +192,7 @@ class TestControllerUnit:
             cluster_config=ClusterConfig(),
             seed=1,
         )
-        shares = runner.controller.guaranteed_cpu_shares()
+        shares = runner.policy.guaranteed_cpu_shares()
         assert shares["microbenchmark"] == pytest.approx(6.0)
         assert shares["squeezenet"] == pytest.approx(6.0)
 
@@ -183,7 +202,7 @@ class TestControllerUnit:
             cluster_config=ClusterConfig(),
             seed=1,
         )
-        snapshot = runner.controller.run_epoch()
+        snapshot = runner.policy.run_epoch()
         assert snapshot.total_cpu == 12.0
         assert "microbenchmark" in snapshot.functions
 
@@ -195,7 +214,7 @@ class TestControllerUnit:
         )
         from repro.sim.request import Request
         with pytest.raises(KeyError):
-            runner.controller.dispatch(Request(function_name="ghost", arrival_time=0.0, work=0.1))
+            runner.policy.dispatch(Request(function_name="ghost", arrival_time=0.0, work=0.1))
 
     def test_duplicate_workload_names_rejected(self):
         with pytest.raises(ValueError):

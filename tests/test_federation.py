@@ -11,6 +11,8 @@ Four clusters of coverage:
 * behaviour: blackout failover, WAN-partition edge autonomy,
   requeue-at-head on rejoin, and the site-scoped availability records
   (a site rejoining with fewer nodes still closes its record);
+* policies: any registered control policy — vanilla OpenWhisk
+  included — can run a site, and every request stays accounted for;
 * determinism: every (router, failure-mode) arm of the ``fig12``
   sweep is byte-identical run-to-run, and the federated sweep is
   byte-identical across worker counts — plus hypothesis properties
@@ -19,6 +21,9 @@ Four clusters of coverage:
 """
 
 from __future__ import annotations
+
+import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -400,6 +405,30 @@ def test_fig12_arm_bytes_are_run_to_run_identical(index):
     first = canonical_json(run_scenario(spec).data)
     second = canonical_json(run_scenario(spec).data)
     assert first == second, spec.name
+
+
+def test_federated_openwhisk_site_accounts_for_every_request():
+    # the origin site runs vanilla OpenWhisk under the global router:
+    # per function, every generated request is recorded exactly once
+    # and ends completed, dropped, or still in flight
+    spec = _arm_specs(duration=60.0)[0]
+    sites = tuple(dataclasses.replace(site, policy="openwhisk")
+                  if site.name == "edge-a" else site
+                  for site in spec.federation.sites)
+    spec = dataclasses.replace(
+        spec, federation=dataclasses.replace(spec.federation, sites=sites))
+    outcome = run_scenario(spec)
+    assert outcome.data["federation"]["router"]["dispatched"]["edge-a"] > 0
+    requests = outcome.sim.metrics.requests
+    for function, arrivals in outcome.sim.generated_requests.items():
+        mine = [r for r in requests if r.function_name == function]
+        assert len({r.request_id for r in mine}) == len(mine)
+        statuses = Counter(r.status for r in mine)
+        completions = statuses.pop(RequestStatus.COMPLETED, 0)
+        drops = statuses.pop(RequestStatus.DROPPED, 0)
+        unfinished = sum(statuses.values())
+        assert arrivals > 0 and completions > 0
+        assert arrivals == completions + drops + unfinished
 
 
 def test_federated_sweep_bytes_identical_across_workers():

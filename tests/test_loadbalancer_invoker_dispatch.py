@@ -135,22 +135,28 @@ class TestInvokers:
         assert totals[InvokerCommand.CREATE] == 2
 
 
+def watched(dispatcher, *containers):
+    """Track standalone containers in the dispatcher's idle index."""
+    for container in containers:
+        dispatcher.watch_container(container)
+
+
 class TestSharedQueueDispatcher:
     def test_dispatches_to_idle_container_immediately(self, engine):
         dispatcher = SharedQueueDispatcher(engine)
-        container = warm_container()
+        watched(dispatcher, warm_container())
         request = make_request()
-        assert dispatcher.submit(request, [container]) is True
+        assert dispatcher.submit(request) is True
         engine.run()
         assert request.status is RequestStatus.COMPLETED
         assert request.waiting_time == 0.0
 
     def test_queues_when_all_containers_busy(self, engine):
         dispatcher = SharedQueueDispatcher(engine)
-        container = warm_container()
+        watched(dispatcher, warm_container())
         first, second = make_request(work=0.2), make_request(work=0.2)
-        dispatcher.submit(first, [container])
-        assert dispatcher.submit(second, [container]) is False
+        dispatcher.submit(first)
+        assert dispatcher.submit(second) is False
         assert dispatcher.queue_length("fn") == 1
         engine.run()
         assert second.status is RequestStatus.COMPLETED
@@ -160,20 +166,20 @@ class TestSharedQueueDispatcher:
         # with 2 containers and 3 requests, the third runs on whichever
         # container frees first — total makespan 2 service times, not 3
         dispatcher = SharedQueueDispatcher(engine)
-        containers = [warm_container(), warm_container()]
+        watched(dispatcher, warm_container(), warm_container())
         requests = [make_request(work=0.1) for _ in range(3)]
         for request in requests:
-            dispatcher.submit(request, containers)
+            dispatcher.submit(request)
         engine.run()
         assert max(r.completion_time for r in requests) == pytest.approx(0.2)
 
     def test_drain_moves_queued_work_to_new_containers(self, engine):
         dispatcher = SharedQueueDispatcher(engine)
         request = make_request()
-        dispatcher.submit(request, [])          # nothing warm yet
+        dispatcher.submit(request)          # nothing warm yet
         assert dispatcher.queue_length("fn") == 1
-        container = warm_container()
-        started = dispatcher.drain("fn", [container])
+        watched(dispatcher, warm_container())
+        started = dispatcher.drain("fn")
         assert started == 1
         engine.run()
         assert request.status is RequestStatus.COMPLETED
@@ -181,22 +187,24 @@ class TestSharedQueueDispatcher:
     def test_completion_callback_fires(self, engine):
         seen = []
         dispatcher = SharedQueueDispatcher(engine, on_complete=lambda r, c: seen.append(r))
-        dispatcher.submit(make_request(), [warm_container()])
+        watched(dispatcher, warm_container())
+        dispatcher.submit(make_request())
         engine.run()
         assert len(seen) == 1
 
     def test_skips_requests_dropped_while_queued(self, engine):
         dispatcher = SharedQueueDispatcher(engine)
         request = make_request()
-        dispatcher.submit(request, [])
+        dispatcher.submit(request)
         request.mark_dropped(1.0)
-        started = dispatcher.drain("fn", [warm_container()])
+        watched(dispatcher, warm_container())
+        started = dispatcher.drain("fn")
         assert started == 0
 
     def test_total_queued_counts_all_functions(self, engine):
         dispatcher = SharedQueueDispatcher(engine)
-        dispatcher.submit(make_request(name="a"), [])
-        dispatcher.submit(make_request(name="b"), [])
+        dispatcher.submit(make_request(name="a"))
+        dispatcher.submit(make_request(name="b"))
         assert dispatcher.total_queued() == 2
 
     def test_larger_containers_get_more_dispatches(self, engine):
@@ -204,6 +212,7 @@ class TestSharedQueueDispatcher:
         big = warm_container(cpu=2.0)
         small = warm_container(cpu=1.0)
         small.deflate_to(1.0)
+        watched(dispatcher, big, small)
         # submit many short requests with gaps so both are idle each time
         completions = {big.container_id: 0, small.container_id: 0}
 
@@ -213,7 +222,7 @@ class TestSharedQueueDispatcher:
         dispatcher._on_complete = count
         for i in range(30):
             request = make_request(work=0.001, arrival=i * 1.0)
-            engine.schedule_at(i * 1.0, lambda r=request: dispatcher.submit(r, [big, small]))
+            engine.schedule_at(i * 1.0, lambda r=request: dispatcher.submit(r))
         engine.run()
         assert completions[big.container_id] == 20
         assert completions[small.container_id] == 10
@@ -238,7 +247,7 @@ class TestIncrementalIdleSets:
         dispatcher.attach_cluster(cluster)
         [container] = self._warm(engine, cluster)
         request = make_request()
-        assert dispatcher.submit(request) is True  # no container list needed
+        assert dispatcher.submit(request) is True
         engine.run()
         assert request.status is RequestStatus.COMPLETED
         assert request.container_id == container.container_id
@@ -340,14 +349,13 @@ class TestIncrementalIdleSets:
 
 class TestUnattachedDispatcherHygiene:
     def test_unattached_dispatcher_does_not_pin_containers(self, engine):
-        """Baseline controllers pass explicit lists and never attach a cluster;
-        the idle index must stay empty or terminated containers leak."""
+        """Containers neither attached nor watched never enter the idle
+        index (their termination would go unnoticed): work queues instead."""
         dispatcher = SharedQueueDispatcher(engine)
         for _ in range(5):
-            container = warm_container()
-            dispatcher.submit(make_request(work=0.01), [container])
-            engine.run()
-            container.terminate(engine.now)
+            warm_container()
+            assert dispatcher.submit(make_request(work=0.01)) is False
+        assert dispatcher.queue_length("fn") == 5
         assert all(not index for index in dispatcher._idle.values())
 
     def test_watch_container_tracks_standalone_container(self, engine):
@@ -355,7 +363,7 @@ class TestUnattachedDispatcherHygiene:
         container = warm_container()
         dispatcher.watch_container(container)
         request = make_request()
-        assert dispatcher.submit(request) is True   # no explicit list needed
+        assert dispatcher.submit(request) is True
         engine.run()
         assert request.status is RequestStatus.COMPLETED
         container.terminate(engine.now)

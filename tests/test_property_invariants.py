@@ -426,7 +426,7 @@ def test_materialized_arrivals_match_event_driven_pump(rate, duration, seed,
     generation up front; the event plane interleaves the same draws one
     batch at a time through engine events.  For every batch size — 1
     reproduces the seed cadence — both orderings must yield the
-    identical (time, work) stream from the shared RNG.
+    identical (time, work) stream from the same seeded streams.
     """
     from dataclasses import replace
 
@@ -441,7 +441,8 @@ def test_materialized_arrivals_match_event_driven_pump(rate, duration, seed,
     bulk = ArrivalGenerator(
         SimulationEngine(), profile, StaticRate(rate, duration=duration),
         dispatch=lambda request: None, rng=np.random.default_rng(seed),
-        slo_deadline=0.1, batch_size=batch_size,
+        work_rng=np.random.default_rng(seed + 1), slo_deadline=0.1,
+        batch_size=batch_size,
     )
     times, works = bulk.materialize_arrivals()
 
@@ -451,7 +452,8 @@ def test_materialized_arrivals_match_event_driven_pump(rate, duration, seed,
         engine, profile, StaticRate(rate, duration=duration),
         dispatch=lambda request: pumped.append(
             (request.arrival_time, request.work)),
-        rng=np.random.default_rng(seed), slo_deadline=0.1,
+        rng=np.random.default_rng(seed),
+        work_rng=np.random.default_rng(seed + 1), slo_deadline=0.1,
         batch_size=batch_size,
     )
     generator.start()

@@ -84,6 +84,8 @@ class TestSerialization:
     def test_validation_rejects_bad_specs(self):
         with pytest.raises(ValueError):
             ScenarioSpec(name="x", kind="nope")
+        with pytest.raises(ValueError, match="unknown scenario kind"):
+            ScenarioSpec(name="x", kind="openwhisk")  # removed alias kind
         with pytest.raises(ValueError):
             ScenarioSpec(name="x", kind="simulate")  # no workloads
         with pytest.raises(ValueError):
@@ -124,9 +126,10 @@ class TestRegistry:
         sweep = build("fig8", phase_duration=10.0)
         shards = sweep.expand()
         assert len(shards) == 3
-        kinds = [s.kind for s in shards]
-        assert kinds.count("simulate") == 2 and kinds.count("openwhisk") == 1
-        policies = {s.controller.reclamation for s in shards if s.kind == "simulate"}
+        assert {s.kind for s in shards} == {"simulate"}
+        arms = [s.controller.policy for s in shards]
+        assert arms.count("lass") == 2 and arms.count("openwhisk") == 1
+        policies = {s.controller.reclamation for s in shards if s.controller.policy == "lass"}
         assert policies == {"termination", "deflation"}
 
     def test_fig9_arms_share_the_base_seed(self):
