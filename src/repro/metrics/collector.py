@@ -5,20 +5,48 @@ It accumulates every request (for waiting-time and SLO analysis), an
 allocation timeline point per function per epoch (for the Figure 6/8/9
 style plots), utilisation samples, and free-form counters (cold starts,
 drops, container operations).
+
+Waiting-time and SLO summaries come from the stored request objects,
+except right after a columnar run: the kernel then publishes its
+per-function columns (:class:`RequestColumns`) and the summaries are
+computed from those arrays with NumPy, so no ``Request`` object has to
+be rebuilt unless something reads :attr:`MetricsCollector.requests`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
-from repro.metrics.percentiles import WaitingTimeSummary, summarize_waiting_times
-from repro.metrics.slo import SloReport, slo_report
+import numpy as np
+
+from repro.metrics.percentiles import (
+    WaitingTimeSummary,
+    summarize_values,
+    summarize_waiting_times,
+)
+from repro.metrics.slo import SloReport, slo_report, slo_reports_from_tallies
 from repro.metrics.streaming import StreamingSummary
 from repro.metrics.timeline import AllocationTimeline, TimelinePoint
 from repro.metrics.utilization import UtilizationTracker
 from repro.sim.request import Request, RequestStatus
+
+
+class RequestColumns(NamedTuple):
+    """One function's requests as parallel arrays, in request-list order."""
+
+    #: Arrival times (float64), non-decreasing.
+    arrival: np.ndarray
+    #: Waiting times, start minus arrival (float64); meaningful where
+    #: ``completed`` is set.
+    wait: np.ndarray
+    #: The request completed.
+    completed: np.ndarray
+    #: The request was dropped or timed out.
+    dropped: np.ndarray
+    #: Request ids, which order functions by first appearance.
+    request_ids: Sequence[int]
 
 
 @dataclass(frozen=True)
@@ -84,6 +112,7 @@ class MetricsCollector:
             )
         self._requests: List[Request] = []
         self._deferred_fill: Optional[Callable[[], List[Request]]] = None
+        self._columns: Optional[Callable[[str], Optional[RequestColumns]]] = None
         self.timeline = AllocationTimeline()
         self.utilization = UtilizationTracker()
         self.epochs: List[EpochSnapshot] = []
@@ -104,13 +133,14 @@ class MetricsCollector:
 
         The columnar data plane registers a fill callback via
         :meth:`defer_requests` instead of appending per request; the
-        first access reconstructs the full list (and drops the
-        callback), so analysis code is oblivious to which data plane
-        produced the run.
+        first access reconstructs the full list (and drops the callback
+        and the column source), so analysis code is oblivious to which
+        data plane produced the run.
         """
         fill = self._deferred_fill
         if fill is not None:
             self._deferred_fill = None
+            self._columns = None
             self._requests = fill()
         return self._requests
 
@@ -118,17 +148,29 @@ class MetricsCollector:
     def requests(self, value: List[Request]) -> None:
         """Replace the stored request list (drops any pending deferred fill)."""
         self._deferred_fill = None
+        self._columns = None
         self._requests = value
 
-    def defer_requests(self, fill: Callable[[], List[Request]]) -> None:
+    def defer_requests(
+        self,
+        fill: Callable[[], List[Request]],
+        columns: Callable[[str], Optional[RequestColumns]],
+    ) -> None:
         """Register a callback that reconstructs the request list on demand.
 
         Used by the columnar kernel so the hot loop never appends request
         objects; any previously stored requests are superseded (the
-        kernel's fill covers the whole run).
+        kernel's fill covers the whole run).  ``columns`` maps a
+        function name to that function's :class:`RequestColumns` (or
+        ``None`` when the run has no such function).  While the fill is
+        pending, :meth:`waiting_summary` for one function and
+        :meth:`slo` compute their results from these arrays, built per
+        call and dropped afterwards.  Once :attr:`requests` is read or
+        assigned, the request objects are the only source again.
         """
         self._requests = []
         self._deferred_fill = fill
+        self._columns = columns
 
     def record_request(self, request: Request) -> None:
         """Register a request (typically at arrival; its fields keep updating)."""
@@ -236,7 +278,9 @@ class MetricsCollector:
 
         In streaming mode the summary comes from the reservoir summaries
         (constant memory, no warmup filtering); otherwise it is computed
-        exactly from the stored requests.
+        exactly, from the columnar kernel's columns when they are
+        registered (see :meth:`defer_requests`), else from the stored
+        requests.
         """
         if self.streaming_percentiles:
             if warmup:
@@ -249,6 +293,13 @@ class MetricsCollector:
                 return self._streaming_all.summary()
             per_function = self._streaming_by_function.get(function_name)
             return per_function.summary() if per_function is not None else StreamingSummary().summary()
+        columns = self._columns
+        if columns is not None and function_name is not None:
+            cols = columns(function_name)
+            if cols is None:
+                return summarize_values(np.empty(0))
+            first = _first_after_warmup(cols, warmup)
+            return summarize_values(_completed_waits(cols, first))
         return summarize_waiting_times(self.requests, function_name, warmup)
 
     def slo(
@@ -257,8 +308,31 @@ class MetricsCollector:
         target_percentile: float = 0.95,
         warmup: float = 0.0,
     ) -> Dict[str, SloReport]:
-        """SLO attainment per function."""
-        return slo_report(self.requests, deadlines, target_percentile, warmup=warmup)
+        """SLO attainment per function, on waiting time, drops counting as misses.
+
+        Computed from the columnar kernel's columns when they are
+        registered (see :meth:`defer_requests`), else from the stored
+        requests; functions appear in the order of their first request
+        after ``warmup`` either way.
+        """
+        columns = self._columns
+        if columns is None:
+            return slo_report(self.requests, deadlines, target_percentile, warmup=warmup)
+        tallies = []
+        for name in deadlines:
+            cols = columns(name)
+            if cols is None:
+                continue
+            first = _first_after_warmup(cols, warmup)
+            total = len(cols.arrival) - first
+            if total:
+                dropped = int(np.count_nonzero(cols.dropped[first:]))
+                tallies.append((cols.request_ids[first], name,
+                                (total, dropped, _completed_waits(cols, first))))
+        tallies.sort(key=lambda entry: entry[0])
+        return slo_reports_from_tallies(
+            {name: tally for _, name, tally in tallies}, deadlines, target_percentile
+        )
 
     def mean_utilization(self, start: float = 0.0, end: Optional[float] = None) -> float:
         """Time-weighted mean cluster utilisation."""
@@ -284,4 +358,14 @@ class MetricsCollector:
         return result
 
 
-__all__ = ["MetricsCollector", "EpochSnapshot", "FunctionEpochStats"]
+def _first_after_warmup(cols: RequestColumns, warmup: float) -> int:
+    """Index of the first row that did not arrive before ``warmup``."""
+    return int(np.searchsorted(cols.arrival, warmup, side="left"))
+
+
+def _completed_waits(cols: RequestColumns, first: int) -> np.ndarray:
+    """Waiting times of the completed rows from ``first`` on, in row order."""
+    return cols.wait[first:][cols.completed[first:]]
+
+
+__all__ = ["MetricsCollector", "EpochSnapshot", "FunctionEpochStats", "RequestColumns"]

@@ -72,6 +72,28 @@ def _empty_summary() -> WaitingTimeSummary:
     return WaitingTimeSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def summarize_values(values: np.ndarray) -> WaitingTimeSummary:
+    """Summarise a float array of waiting (or response) times.
+
+    The one summary block every path shares: the per-request loops
+    below and the columnar collector, which slices the kernel's
+    per-function columns straight into an array.  ``values`` must be in
+    request-list order, because the mean's float summation depends on
+    it, and is consumed: the percentiles partially sort it in place, so
+    no copy of a large array is made.
+    """
+    if values.size == 0:
+        return _empty_summary()
+    count = int(values.size)
+    mean = float(values.mean())
+    maximum = float(values.max())
+    minimum = float(values.min())
+    p50, p90, p95, p99 = np.quantile(
+        values, (0.5, 0.90, 0.95, 0.99), overwrite_input=True
+    ).tolist()
+    return WaitingTimeSummary(count, mean, p50, p90, p95, p99, maximum, minimum)
+
+
 def summarize_waiting_times(
     requests: Iterable[Request],
     function_name: Optional[str] = None,
@@ -100,19 +122,7 @@ def summarize_waiting_times(
         wait = request.waiting_time
         if wait is not None:
             waits.append(wait)
-    if not waits:
-        return _empty_summary()
-    arr = np.asarray(waits)
-    return WaitingTimeSummary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        median=float(np.quantile(arr, 0.5)),
-        p90=float(np.quantile(arr, 0.90)),
-        p95=float(np.quantile(arr, 0.95)),
-        p99=float(np.quantile(arr, 0.99)),
-        maximum=float(arr.max()),
-        minimum=float(arr.min()),
-    )
+    return summarize_values(np.asarray(waits, dtype=float))
 
 
 def summarize_response_times(
@@ -132,19 +142,8 @@ def summarize_response_times(
         rt = request.response_time
         if rt is not None:
             values.append(rt)
-    if not values:
-        return _empty_summary()
-    arr = np.asarray(values)
-    return WaitingTimeSummary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        median=float(np.quantile(arr, 0.5)),
-        p90=float(np.quantile(arr, 0.90)),
-        p95=float(np.quantile(arr, 0.95)),
-        p99=float(np.quantile(arr, 0.99)),
-        maximum=float(arr.max()),
-        minimum=float(arr.min()),
-    )
+    return summarize_values(np.asarray(values, dtype=float))
 
 
-__all__ = ["percentile", "WaitingTimeSummary", "summarize_waiting_times", "summarize_response_times"]
+__all__ = ["percentile", "WaitingTimeSummary", "summarize_values",
+           "summarize_waiting_times", "summarize_response_times"]

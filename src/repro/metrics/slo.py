@@ -11,9 +11,17 @@ interpretation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional
+from math import nan
+from typing import Dict, Iterable, Mapping, Tuple
+
+import numpy as np
 
 from repro.sim.request import Request, RequestStatus
+
+#: One function's SLO tally: requests counted, requests dropped or timed
+#: out, and the waiting (or response) time of every completed request in
+#: request-list order (NaN where a completed request lacks the metric).
+SloTally = Tuple[int, int, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -71,39 +79,61 @@ def slo_report(
     count_drops_as_violations:
         Dropped / timed-out requests count against attainment when true.
     """
-    if not 0 < target_percentile < 1:
-        raise ValueError("target_percentile must be in (0, 1)")
-    per_function: Dict[str, Dict[str, int]] = {}
+    per_function: Dict[str, list] = {}  # name -> [total, dropped, metrics]
+    completed = RequestStatus.COMPLETED
     for request in requests:
         if request.arrival_time < warmup:
             continue
         name = request.function_name
         if name not in deadlines:
             continue
-        stats = per_function.setdefault(
-            name, {"total": 0, "completed": 0, "dropped": 0, "within": 0}
-        )
-        stats["total"] += 1
-        if request.status is RequestStatus.COMPLETED:
-            stats["completed"] += 1
+        stats = per_function.get(name)
+        if stats is None:
+            stats = per_function[name] = [0, 0, []]
+        stats[0] += 1
+        status = request.status
+        if status is completed:
             metric = request.waiting_time if on_waiting_time else request.response_time
-            if metric is not None and metric <= deadlines[name] + 1e-12:
-                stats["within"] += 1
-        elif request.status in (RequestStatus.DROPPED, RequestStatus.TIMED_OUT):
-            stats["dropped"] += 1
+            stats[2].append(nan if metric is None else metric)
+        elif status in (RequestStatus.DROPPED, RequestStatus.TIMED_OUT):
+            stats[1] += 1
+    tallies = {
+        name: (total, dropped, np.asarray(metrics, dtype=float))
+        for name, (total, dropped, metrics) in per_function.items()
+    }
+    return slo_reports_from_tallies(tallies, deadlines, target_percentile,
+                                    count_drops_as_violations)
 
+
+def slo_reports_from_tallies(
+    tallies: Mapping[str, SloTally],
+    deadlines: Mapping[str, float],
+    target_percentile: float = 0.95,
+    count_drops_as_violations: bool = True,
+) -> Dict[str, SloReport]:
+    """Turn per-function :data:`SloTally` values into reports, in ``tallies`` order.
+
+    The one SLO count every path shares: :func:`slo_report` tallies a
+    request list, and the columnar collector tallies the kernel's
+    per-function columns.  A completed request meets the deadline when
+    its metric is at most ``deadline + 1e-12``.
+    """
+    if not 0 < target_percentile < 1:
+        raise ValueError("target_percentile must be in (0, 1)")
     reports: Dict[str, SloReport] = {}
-    for name, stats in per_function.items():
-        denominator = stats["total"] if count_drops_as_violations else stats["completed"]
-        attainment = stats["within"] / denominator if denominator else 1.0
+    for name, (total, dropped, metrics) in tallies.items():
+        completed = int(metrics.size)
+        within = int(np.count_nonzero(metrics <= deadlines[name] + 1e-12))
+        denominator = total if count_drops_as_violations else completed
+        attainment = within / denominator if denominator else 1.0
         reports[name] = SloReport(
             function_name=name,
             deadline=deadlines[name],
             target_percentile=target_percentile,
-            total_requests=stats["total"],
-            completed_requests=stats["completed"],
-            dropped_requests=stats["dropped"],
-            within_deadline=stats["within"],
+            total_requests=total,
+            completed_requests=completed,
+            dropped_requests=dropped,
+            within_deadline=within,
             attainment=attainment,
             satisfied=attainment >= target_percentile,
         )
@@ -119,4 +149,5 @@ def overall_attainment(reports: Mapping[str, SloReport]) -> float:
     return within / total
 
 
-__all__ = ["SloReport", "slo_report", "overall_attainment"]
+__all__ = ["SloReport", "SloTally", "slo_report", "slo_reports_from_tallies",
+           "overall_attainment"]

@@ -15,8 +15,10 @@ request state lives in parallel per-function columns
 merged arrival pointer against a completion heap instead of pumping
 per-request engine events.  Metrics are folded into the existing
 :class:`~repro.metrics.collector.MetricsCollector` at *epoch
-granularity* (right before every engine event boundary), and the full
-per-request record list is reconstructed lazily on first access.
+granularity* (right before every engine event boundary).  After the
+run the collector's per-function waiting-time and SLO summaries come
+straight from the columns; the per-request record list is rebuilt only
+if something reads it.
 
 Oracle contract
 ---------------
@@ -50,7 +52,8 @@ Fallback conditions
 -------------------
 :func:`build_kernel` returns ``None`` — and the runner silently falls
 back to the event-level plane — when the policy does not publish a
-:class:`ColumnarPlan` (e.g. the OpenWhisk compatibility policy), when
+:class:`ColumnarPlan` (e.g. the OpenWhisk policy, which checks
+invoker health and may create a container on every dispatch), when
 the dispatcher is not attached to the cluster, or when an unknown
 dispatch interceptor is installed (only the fault injector's
 crash-on-dispatch hook is understood).
@@ -69,6 +72,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.container import ContainerState
+from repro.metrics.collector import RequestColumns
 from repro.sim import request as request_module
 from repro.sim.request import Request, RequestStatus
 
@@ -342,7 +346,7 @@ class ColumnarKernel:
         self._flush()
         self._materialize()
         if self.collector.store_requests:
-            self.collector.defer_requests(self._fill)
+            self.collector.defer_requests(self._fill, self._columns)
         # settle the clock (and any past-horizon events) like the event plane
         engine.run(until=until)
 
@@ -852,45 +856,60 @@ class ColumnarKernel:
     # ------------------------------------------------------------------
     # Deferred per-request records
     # ------------------------------------------------------------------
+    def _columns(self, name: str) -> Optional[RequestColumns]:
+        """One function's columns as fresh arrays, for the collector's summaries.
+
+        Registered via ``MetricsCollector.defer_requests``.  Rows that
+        still hold a live object take their status and start time from
+        it, exactly as :meth:`_fill` would.
+        """
+        for fs in self._fn_list:
+            if fs.name == name:
+                break
+        else:
+            return None
+        status = np.frombuffer(fs.status, dtype=np.uint8)
+        completed = status == _COMPLETED
+        dropped = status == _DROPPED
+        arrival = np.array(fs.times, dtype=np.float64)
+        wait = np.array(fs.start, dtype=np.float64)
+        for live_fs, i in self._attached_live:
+            if live_fs is fs:
+                obj = fs.obj[i]
+                completed[i] = obj.status is RequestStatus.COMPLETED
+                dropped[i] = obj.status in (RequestStatus.DROPPED, RequestStatus.TIMED_OUT)
+                if obj.start_time is not None:
+                    wait[i] = obj.start_time
+        np.subtract(wait, arrival, out=wait)
+        return RequestColumns(arrival, wait, completed, dropped, fs.rid)
+
     def _fill(self) -> List[Request]:
         """Reconstruct the collector's per-request list in arrival order.
 
         Registered via ``MetricsCollector.defer_requests`` and invoked
-        lazily on first access to ``collector.requests`` — i.e. after
-        the timed portion of the run.  Rows that were materialized
-        return their live object; the rest (requests that lived and
-        died entirely inside the kernel) are rebuilt from columns.
+        lazily on first access to ``collector.requests``, which the
+        per-function summaries do not need.  Rows that were
+        materialized return their live object; the rest (requests that
+        lived and died entirely inside the kernel) are rebuilt from
+        columns, one positional constructor call each.
         """
         out: List[Request] = []
         append = out.append
         completed = RequestStatus.COMPLETED
-        queued = RequestStatus.QUEUED
-        g_fs = self._g_fs
-        g_row = self._g_row
-        for pos in range(len(self._g_times)):
-            fs = g_fs[pos]
-            i = g_row[pos]
+        for fs, i in zip(self._g_fs, self._g_row):
             obj = fs.obj[i]
             if obj is None:
-                times = fs.times
-                obj = Request(
-                    function_name=fs.name,
-                    arrival_time=times[i],
-                    deadline=None if fs.slo is None else times[i] + fs.slo,
-                    work=fs.works[i],
-                    request_id=fs.rid[i],
-                )
-                status = fs.status[i]
-                if status == _COMPLETED:
-                    obj.status = completed
-                    obj.start_time = fs.start[i]
-                    obj.completion_time = fs.finish[i]
-                    obj.container_id = fs.ccid[i]
-                    obj.node_name = fs.cnode[i]
-                    obj.cold_start = bool(fs.cold[i])
-                elif status == _QUEUED:  # pragma: no cover - queued rows are materialized
-                    obj.status = queued
-                fs.obj[i] = obj
+                t = fs.times[i]
+                slo = fs.slo
+                if fs.status[i] == _COMPLETED:
+                    obj = Request(
+                        fs.name, t, None if slo is None else t + slo, fs.works[i],
+                        fs.rid[i], completed, fs.start[i], fs.finish[i],
+                        fs.ccid[i], fs.cnode[i], fs.cold[i] != 0,
+                    )
+                else:  # never arrived: queued and running rows are live objects
+                    obj = Request(fs.name, t, None if slo is None else t + slo,
+                                  fs.works[i], fs.rid[i])
             append(obj)
         return out
 

@@ -11,7 +11,10 @@ from repro.metrics.percentiles import (
 from repro.metrics.slo import overall_attainment, slo_report
 from repro.metrics.timeline import AllocationTimeline, TimelinePoint
 from repro.metrics.utilization import UtilizationTracker, time_weighted_mean
-from repro.sim.request import Request
+from repro.scenarios import ScenarioSpec, ScheduleSpec, WorkloadSpec, build
+from repro.scenarios.runner import run_scenario
+from repro.scenarios.sweep import apply_overrides
+from repro.sim.request import Request, RequestStatus
 
 
 def completed_request(name="fn", arrival=0.0, wait=0.05, service=0.1, deadline=0.1):
@@ -304,3 +307,135 @@ class TestStreamingPercentiles:
         assert percentile(arr, 0.95) == pytest.approx(0.95)
         assert percentile(iter(list(arr)), 0.5) == pytest.approx(0.5)
         assert percentile(arr.astype(np.float32), 0.5) == pytest.approx(0.5, abs=1e-6)
+
+
+def _columnar_noop_spec() -> ScenarioSpec:
+    """Three functions under the noop policy on the columnar plane.
+
+    ``squeezenet`` and ``mobilenet`` get warm containers; ``geofence``
+    gets none, so its requests queue forever (zero completions, and
+    live queued objects at the end of the run).
+    """
+    workloads = tuple(
+        WorkloadSpec(function=name, schedule=ScheduleSpec.static(rate=rate, duration=40.0),
+                     slo_deadline=deadline)
+        for name, rate, deadline in (("squeezenet", 20.0, 0.1), ("mobilenet", 5.0, 0.5),
+                                     ("geofence", 10.0, 0.1))
+    )
+    spec = ScenarioSpec(name="columnar-oracle", kind="simulate", workloads=workloads,
+                        duration=40.0, warmup=10.0, seed=3,
+                        warm_start={"squeezenet": 2, "mobilenet": 1},
+                        data_plane="columnar", metrics=("waiting", "slo"))
+    return apply_overrides(spec, {"controller.policy": "noop"})
+
+
+def _faulted_columnar_spec() -> ScenarioSpec:
+    """The crash-on-dispatch arm on the columnar plane (drops rows, warmup 30 s)."""
+    return apply_overrides(build("flaky-containers", duration=60.0), {"data_plane": "columnar"})
+
+
+class TestColumnarSummaries:
+    """Column-derived summaries equal the ones over the rebuilt request list."""
+
+    def _column_and_object_results(self, spec, deadlines):
+        collector = run_scenario(spec).sim.metrics
+        names = [w.function for w in spec.workloads]
+        assert collector._columns is not None  # the fill is still pending
+        waits = {name: collector.waiting_summary(name, spec.warmup) for name in names}
+        unwarmed = {name: collector.waiting_summary(name) for name in names}
+        reports = collector.slo(deadlines, warmup=spec.warmup)
+        # reports follow first appearance in the request list, not the mapping
+        reversed_reports = collector.slo(dict(reversed(deadlines.items())), warmup=spec.warmup)
+        assert collector._deferred_fill is not None
+        requests = collector.requests
+        for name in names:
+            assert waits[name] == summarize_waiting_times(requests, name, spec.warmup)
+            assert unwarmed[name] == summarize_waiting_times(requests, name)
+        expected = slo_report(requests, deadlines, warmup=spec.warmup)
+        assert reports == reversed_reports == expected
+        assert list(reports) == list(reversed_reports) == list(expected)
+        return waits, reports
+
+    def test_faulted_arm_with_drops_and_warmup(self):
+        spec = _faulted_columnar_spec()
+        assert spec.warmup > 0
+        _, reports = self._column_and_object_results(spec, {"squeezenet": 0.1})
+        assert reports["squeezenet"].dropped_requests > 0
+
+    def test_zero_completions_and_a_function_without_deadline(self):
+        spec = _columnar_noop_spec()
+        # mobilenet is left out of the deadlines: no report, like the objects
+        waits, reports = self._column_and_object_results(
+            spec, {"squeezenet": 0.1, "geofence": 0.1})
+        assert waits["geofence"].count == 0
+        assert reports["geofence"].completed_requests == 0
+        assert reports["geofence"].total_requests > 0
+        assert "mobilenet" not in reports
+        assert waits["mobilenet"].count > 0
+
+    def test_whole_run_and_unknown_function(self):
+        spec = _columnar_noop_spec()
+        collector = run_scenario(spec).sim.metrics
+        assert collector.waiting_summary("no-such-function").count == 0
+        assert collector.slo({"no-such-function": 0.1}) == {}
+        # the whole-run summary reads the request list (running the fill)
+        whole = collector.waiting_summary(None, spec.warmup)
+        assert collector._deferred_fill is None
+        assert whole == summarize_waiting_times(collector.requests, None, spec.warmup)
+
+    def test_assigned_requests_are_the_authority(self):
+        collector = run_scenario(_columnar_noop_spec()).sim.metrics
+        columnar = collector.waiting_summary("squeezenet")
+        collector.requests = [completed_request(name="squeezenet", wait=0.5)]
+        assert collector.waiting_summary("squeezenet").count == 1 != columnar.count
+        report = collector.slo({"squeezenet": 0.1})["squeezenet"]
+        assert (report.total_requests, report.within_deadline) == (1, 0)
+
+    def test_read_requests_are_the_authority(self):
+        collector = run_scenario(_columnar_noop_spec()).sim.metrics
+        requests = collector.requests
+        first = next(r for r in requests if r.function_name == "squeezenet"
+                     and r.status is RequestStatus.COMPLETED)
+        first.status = RequestStatus.DROPPED
+        assert collector.waiting_summary("squeezenet") == summarize_waiting_times(
+            requests, "squeezenet")
+        assert collector.slo({"squeezenet": 0.1})["squeezenet"].dropped_requests == 1
+
+    def test_run_rebuilds_no_request_until_the_list_is_read(self, monkeypatch):
+        """Count guard: the summaries never run the fill; the first read runs it once."""
+        import repro.sim.columnar as columnar
+        from test_columnar_differential import _record_rows, _reset_request_ids
+
+        real_request = columnar.Request
+        built = []
+
+        def counting_request(*args, **kwargs):
+            request = real_request(*args, **kwargs)
+            built.append(request)
+            return request
+
+        real_fill = columnar.ColumnarKernel._fill
+        fills = []
+
+        def counting_fill(kernel):
+            fills.append(kernel)
+            return real_fill(kernel)
+
+        spec = _faulted_columnar_spec()
+        _reset_request_ids()
+        event = run_scenario(apply_overrides(spec, {"data_plane": "event"}))
+        monkeypatch.setattr(columnar, "Request", counting_request)
+        monkeypatch.setattr(columnar.ColumnarKernel, "_fill", counting_fill)
+        _reset_request_ids()
+        outcome = run_scenario(spec)
+        collector = outcome.sim.metrics
+        live = len(built)
+        arrivals = outcome.data["metrics"]["counters"]["arrivals"]
+        assert collector._deferred_fill is not None and not fills
+        assert live < arrivals  # only rows live at an engine boundary got objects
+        rows = _record_rows(outcome)
+        assert len(fills) == 1
+        # every row was built exactly once: at a boundary or by the one fill
+        assert len(built) == len(collector.requests) == arrivals
+        assert len(fills) == 1
+        assert rows == _record_rows(event)
