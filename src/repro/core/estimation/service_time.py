@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import bisect
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.queueing.distributions import Exponential, ServiceTimeDistribution
+from repro.metrics.streaming import SortedReservoir
 
 
 @dataclass(frozen=True)
@@ -111,31 +111,23 @@ class ServiceTimeProfile:
         return self.distribution.scaled(scale)
 
 
-class StreamingQuantile:
+class StreamingQuantile(SortedReservoir):
     """A simple reservoir-based streaming quantile estimator.
 
-    Keeps a bounded, sorted sample of observations and answers quantile
-    queries from it.  For the request volumes in these experiments
-    (thousands to hundreds of thousands) the reservoir is effectively
-    exact; the bound exists so that memory stays constant in very long
-    runs.
+    Keeps a bounded, sorted sample of observations (a
+    :class:`~repro.metrics.streaming.SortedReservoir`, whose batched
+    :meth:`add_many` the columnar data plane's completion folds use) and
+    answers quantile queries from it.  For the request volumes in these
+    experiments (thousands to hundreds of thousands) the reservoir is
+    effectively exact; the bound exists so that memory stays constant in
+    very long runs.
     """
+
+    __slots__ = ()
 
     def __init__(self, max_samples: int = 4096, seed: int = 17) -> None:
         """Configure the reservoir size and its deterministic RNG seed."""
-        if max_samples < 10:
-            raise ValueError("max_samples must be at least 10")
-        self.max_samples = int(max_samples)
-        self._sorted: List[float] = []
-        self._count = 0
-        # stdlib RNG: an order of magnitude cheaper per draw than a numpy
-        # Generator for scalar uniforms, and this sits on the completion path
-        self._rng = random.Random(seed)
-
-    @property
-    def count(self) -> int:
-        """Total number of observations seen (not the reservoir size)."""
-        return self._count
+        super().__init__(max_samples, seed)
 
     def add(self, value: float) -> None:
         """Add one observation."""
@@ -154,33 +146,6 @@ class StreamingQuantile:
             if self._rng.random() * self._count < self.max_samples:
                 self._sorted.pop(int(self._rng.random() * len(self._sorted)))
                 bisect.insort(self._sorted, value)
-
-    def add_many(self, values: List[float]) -> None:
-        """Add a batch of observations, state-for-state identical to ``add``.
-
-        Same validation, reservoir decisions, and RNG consumption as
-        calling :meth:`add` per element — just with the per-call
-        overhead hoisted out of the loop, for the columnar data plane's
-        batched completion folds.
-        """
-        sorted_values = self._sorted
-        max_samples = self.max_samples
-        count = self._count
-        rng_random = self._rng.random
-        insort = bisect.insort
-        isnan = math.isnan
-        for value in values:
-            value = float(value)
-            if isnan(value) or value < 0:
-                self._count = count
-                raise ValueError("observations must be non-negative numbers")
-            count += 1
-            if len(sorted_values) < max_samples:
-                insort(sorted_values, value)
-            elif rng_random() * count < max_samples:
-                sorted_values.pop(int(rng_random() * len(sorted_values)))
-                insort(sorted_values, value)
-        self._count = count
 
     def quantile(self, q: float) -> float:
         """The ``q``-th quantile of the observations seen so far."""

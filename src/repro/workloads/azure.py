@@ -23,7 +23,7 @@ are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -82,15 +82,30 @@ def azure_rate_series(
     """The per-minute *rate* series underlying one synthetic trace.
 
     This is the first of the two RNG passes of
-    :func:`synthesize_azure_trace`: it consumes exactly the burst /
-    modulation draws (one ``uniform`` per minute plus an occasional
-    ``geometric`` for sporadic functions; one phase ``uniform`` plus one
-    ``normal`` per minute for steady ones) and returns the non-negative
+    :func:`synthesize_azure_trace`: it returns the non-negative
     expected-arrivals-per-minute array the Poisson pass then samples.
     Splitting the passes is what lets
     :func:`repro.workloads.stream.iter_azure_trace_chunks` draw the
     Poisson counts chunk by chunk while staying byte-identical to the
     monolithic synthesis.
+
+    RNG contract, in bit-stream terms (pinned against a per-minute
+    scalar reference, final generator state included, by
+    ``tests/test_trace_replay.py``):
+
+    * **Steady** functions consume one double for the phase, then the
+      ``duration_minutes - 1`` AR(1) innovations as standard normals —
+      drawn as one ``normal(0, σ, size=n-1)`` call, which consumes
+      exactly the doubles of ``n-1`` scalar calls in the same order.
+    * **Sporadic** functions consume one double per idle minute (the
+      burst-start test ``u < burst_probability``) and one ``geometric``
+      per burst start; minutes inside a burst draw nothing.  Idle
+      minutes are drawn in blocks of ``random(k)`` (``uniform()`` and
+      ``random()`` both turn exactly one double into ``u``).  When a
+      block contains a burst start the generator is rewound to its
+      state before the block and redraws exactly up to that start, so
+      the doubles after it are never consumed and the ``geometric``
+      draw sees the same stream as the per-minute loop.
     """
     if duration_minutes <= 0:
         raise ValueError("duration_minutes must be positive")
@@ -99,31 +114,69 @@ def azure_rate_series(
 
     if config.sporadic:
         # on/off burst process: mostly zero, occasional multi-minute bursts
+        burst_minutes, burst_left = _burst_minutes(config, duration_minutes, rng)
         rates = np.zeros(duration_minutes)
-        in_burst = False
-        burst_left = 0
-        for m in range(duration_minutes):
-            if not in_burst and rng.uniform() < config.burst_probability:
-                in_burst = True
-                burst_left = max(1, int(rng.geometric(1.0 / config.burst_duration_minutes)))
-            if in_burst:
-                shape = np.sin(np.pi * min(1.0, (1 + m % max(burst_left, 1)) / max(burst_left, 1)))
-                rates[m] = base_per_minute * config.burst_multiplier * max(0.3, shape)
-                burst_left -= 1
-                if burst_left <= 0:
-                    in_burst = False
+        if burst_minutes:
+            # a burst minute's shape uses the minutes left in its burst,
+            # counting itself; every value is computed as the scalar
+            # expression would, just once over all burst minutes
+            m = np.array(burst_minutes)
+            left = np.array(burst_left)
+            shape = np.sin(np.pi * np.minimum(1.0, (1 + m % left) / left))
+            rates[m] = base_per_minute * config.burst_multiplier * np.maximum(0.3, shape)
         # a trickle of background invocations so the function is not always cold
         rates += base_per_minute * 0.05
     else:
         # steady base load: slow sinusoidal modulation + AR(1) noise
         phase = rng.uniform(0, 2 * np.pi)
         modulation = 1.0 + 0.25 * np.sin(2 * np.pi * minutes / max(duration_minutes, 1) + phase)
-        noise = np.zeros(duration_minutes)
-        sigma = config.variability
-        for m in range(1, duration_minutes):
-            noise[m] = 0.7 * noise[m - 1] + rng.normal(0, sigma)
-        rates = base_per_minute * modulation * np.clip(1.0 + noise, 0.2, 3.0)
+        noise = [0.0]
+        previous = 0.0
+        for innovation in rng.normal(0, config.variability, size=duration_minutes - 1).tolist():
+            previous = 0.7 * previous + innovation
+            noise.append(previous)
+        rates = base_per_minute * modulation * np.clip(1.0 + np.array(noise), 0.2, 3.0)
     return np.clip(rates, 0.0, None)
+
+
+def _burst_minutes(
+    config: AzureTraceConfig,
+    duration_minutes: int,
+    rng: np.random.Generator,
+) -> Tuple[List[int], List[int]]:
+    """The minutes a sporadic function spends in bursts.
+
+    Returns the burst minutes in ascending order and, for each, the
+    minutes left in its burst counting itself.  Consumes the generator
+    exactly as one ``uniform()`` per idle minute plus one ``geometric``
+    per burst start (see :func:`azure_rate_series`).
+    """
+    probability = config.burst_probability
+    # twice the expected idle gap (1/p minutes): most blocks hold a burst
+    # start, and an idle stretch rarely needs more than one extra block
+    block = duration_minutes if probability == 0.0 else int(2.0 / probability) + 1
+    bit_generator = rng.bit_generator
+    minutes: List[int] = []
+    left: List[int] = []
+    m = 0
+    while m < duration_minutes:
+        saved = bit_generator.state
+        starts = rng.random(min(block, duration_minutes - m)) < probability
+        first = int(starts.argmax())
+        if not starts[first]:
+            m += len(starts)
+            continue
+        if first + 1 < len(starts):
+            # rewind: consume only the idle minutes up to the burst start
+            bit_generator.state = saved
+            rng.random(first + 1)
+        m += first
+        length = max(1, int(rng.geometric(1.0 / config.burst_duration_minutes)))
+        span = min(length, duration_minutes - m)
+        minutes.extend(range(m, m + span))
+        left.extend(range(length, length - span, -1))
+        m += span
+    return minutes, left
 
 
 def synthesize_azure_trace(

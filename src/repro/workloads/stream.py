@@ -24,6 +24,17 @@ rests on two facts, both pinned by ``tests/test_trace_replay.py``:
    consumes exactly the draws of one whole-array call (batch-split
    invariance, verified by a hypothesis property).
 
+Pass one is defined by its bit stream, not by its call pattern: for a
+steady function one phase double, then ``duration_minutes - 1``
+standard normals (the AR(1) innovations); for a sporadic function one
+double per idle minute and one ``geometric`` per burst start, nothing
+inside a burst.  The rate series draws these in batches — one
+``normal(size=n-1)`` call, idle minutes in ``random(k)`` blocks that
+rewind the generator to just past the first burst start — and is
+pinned, final generator state included, against a per-minute scalar
+reference in ``tests/test_trace_replay.py``.  Any rewrite of pass one
+must leave this stream, and therefore every count, unchanged.
+
 The rate series itself is O(``duration_minutes``) floats — the resident
 bound is minutes + chunk, independent of how many invocations the trace
 contains.

@@ -241,7 +241,7 @@ def test_memoized_warm_started_solver_equals_reference_in_batches(draws):
 # Columnar-kernel invariants (PR 7)
 # ----------------------------------------------------------------------
 def _quantile_state(quantile):
-    """Everything observable about a StreamingQuantile, RNG included."""
+    """Everything observable about a reservoir, RNG included."""
     return (list(quantile._sorted), quantile._count, quantile._rng.getstate())
 
 
@@ -329,19 +329,23 @@ def test_streaming_quantile_add_many_is_batch_split_invariant(values, split):
     Reservoir contents, counts *and the RNG state itself* must match
     after any split of the stream into batches — the property the
     columnar flush relies on when it folds a whole drain's completions
-    in one call.
+    in one call, and the trace replay when it folds a whole chunk of
+    per-minute counts into its shard sketch.  Both reservoirs share the
+    one batched fold, so both are checked against their own ``add``.
     """
     from repro.core.estimation.service_time import StreamingQuantile
+    from repro.metrics.streaming import ReservoirQuantiles
 
     split = min(split, len(values))
-    reference = StreamingQuantile(max_samples=16, seed=3)
-    for value in values:
-        reference.add(value)
+    for reservoir in (StreamingQuantile, ReservoirQuantiles):
+        reference = reservoir(max_samples=16, seed=3)
+        for value in values:
+            reference.add(value)
 
-    batched = StreamingQuantile(max_samples=16, seed=3)
-    batched.add_many(values[:split])
-    batched.add_many(values[split:])
-    assert _quantile_state(batched) == _quantile_state(reference)
+        batched = reservoir(max_samples=16, seed=3)
+        batched.add_many(values[:split])
+        batched.add_many(values[split:])
+        assert _quantile_state(batched) == _quantile_state(reference), reservoir
 
 
 @PROPERTY_SETTINGS

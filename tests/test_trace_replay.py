@@ -15,12 +15,18 @@ Four contracts are pinned here:
    states), with regression tests on both the raw merge and the full
    envelope merge.
 4. **Edge cases fail eagerly** — invalid trace configs, invalid
-   replay params, and degraded sweep envelopes raise instead of
-   producing silently-wrong numbers.
+   replay params, degraded sweep envelopes and corrupt sketch states
+   raise instead of producing silently-wrong numbers.
+
+The batched rate series is checked against a per-minute scalar
+reference (same bytes, same final generator state), and a golden
+digest pins the merged replay bytes, so a drift in synthesis cannot
+pass by comparing the code only with itself.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -104,6 +110,118 @@ def test_chunk_minutes_must_be_positive():
                                      np.random.default_rng(1), 0))
 
 
+# ----------------------------------------------------------------------
+# 1b. batched rate series ≡ the per-minute scalar reference
+# ----------------------------------------------------------------------
+def _scalar_rate_series(
+    config: AzureTraceConfig,
+    duration_minutes: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Reference: one scalar RNG call per function-minute (the original loop)."""
+    if duration_minutes <= 0:
+        raise ValueError("duration_minutes must be positive")
+    minutes = np.arange(duration_minutes)
+    base_per_minute = config.mean_rate * 60.0
+
+    if config.sporadic:
+        # on/off burst process: mostly zero, occasional multi-minute bursts
+        rates = np.zeros(duration_minutes)
+        in_burst = False
+        burst_left = 0
+        for m in range(duration_minutes):
+            if not in_burst and rng.uniform() < config.burst_probability:
+                in_burst = True
+                burst_left = max(1, int(rng.geometric(1.0 / config.burst_duration_minutes)))
+            if in_burst:
+                shape = np.sin(np.pi * min(1.0, (1 + m % max(burst_left, 1)) / max(burst_left, 1)))
+                rates[m] = base_per_minute * config.burst_multiplier * max(0.3, shape)
+                burst_left -= 1
+                if burst_left <= 0:
+                    in_burst = False
+        # a trickle of background invocations so the function is not always cold
+        rates += base_per_minute * 0.05
+    else:
+        # steady base load: slow sinusoidal modulation + AR(1) noise
+        phase = rng.uniform(0, 2 * np.pi)
+        modulation = 1.0 + 0.25 * np.sin(2 * np.pi * minutes / max(duration_minutes, 1) + phase)
+        noise = np.zeros(duration_minutes)
+        sigma = config.variability
+        for m in range(1, duration_minutes):
+            noise[m] = 0.7 * noise[m - 1] + rng.normal(0, sigma)
+        rates = base_per_minute * modulation * np.clip(1.0 + noise, 0.2, 3.0)
+    return np.clip(rates, 0.0, None)
+
+
+def _assert_matches_scalar(config, duration, seed):
+    """Same bytes and the same final generator state as the reference."""
+    reference_rng = np.random.default_rng(seed)
+    reference = _scalar_rate_series(config, duration, reference_rng)
+    rng = np.random.default_rng(seed)
+    rates = azure_rate_series(config, duration, rng)
+    assert rates.tobytes() == reference.tobytes()
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    return reference
+
+
+ORACLE_CONFIGS = {
+    "steady": AzureTraceConfig(mean_rate=5.0, variability=0.4),
+    "steady-no-variability": AzureTraceConfig(mean_rate=5.0, variability=0.0),
+    "steady-zero-rate": AzureTraceConfig(mean_rate=0.0),
+    "sporadic": AzureTraceConfig(mean_rate=2.0, sporadic=True),
+    "sporadic-zero-rate": AzureTraceConfig(mean_rate=0.0, sporadic=True),
+    "sporadic-never": AzureTraceConfig(mean_rate=2.0, sporadic=True,
+                                       burst_probability=0.0),
+    "sporadic-always": AzureTraceConfig(mean_rate=2.0, sporadic=True,
+                                        burst_probability=1.0),
+    # geometric(p) searches for p >= 1/3 (mean below 3) and inverts below
+    "sporadic-short-bursts": AzureTraceConfig(mean_rate=2.0, sporadic=True,
+                                              burst_probability=0.3,
+                                              burst_duration_minutes=1.5),
+    "sporadic-one-minute-bursts": AzureTraceConfig(
+        mean_rate=2.0, sporadic=True, burst_probability=0.5,
+        burst_duration_minutes=1.0),
+    "sporadic-long-bursts": AzureTraceConfig(mean_rate=2.0, sporadic=True,
+                                             burst_probability=0.05,
+                                             burst_duration_minutes=12.0),
+}
+
+
+@pytest.mark.parametrize("label", sorted(ORACLE_CONFIGS))
+@pytest.mark.parametrize("duration", [1, 2, 3, 59, 720])
+@pytest.mark.parametrize("seed", [0, 7919])
+def test_rate_series_matches_scalar_reference(label, duration, seed):
+    """The batched draws reproduce the per-minute loop bit for bit."""
+    _assert_matches_scalar(ORACLE_CONFIGS[label], duration, seed)
+
+
+def test_rate_series_burst_running_past_the_end():
+    """A burst cut off by the trace end still matches the reference."""
+    config = AzureTraceConfig(mean_rate=2.0, sporadic=True,
+                              burst_probability=1.0,
+                              burst_duration_minutes=1000.0)
+    for seed in range(20):
+        rates = _assert_matches_scalar(config, 5, seed)
+        # every minute is a burst minute: well above the 5 % trickle
+        assert rates.min() > 2.0 * 60.0 * 0.05
+
+
+def test_rate_series_matches_reference_on_the_population():
+    """The first 200 functions of the fig9-at-scale population, 720 minutes."""
+    params = next(iter(build("fig9-at-scale", functions=200).expand())).params
+    population = dict(params["population"])
+    sporadic = 0
+    for index in range(200):
+        fn = population_function(index, population)
+        sporadic += fn.config.sporadic
+        reference_rng = trace_rng(params["trace_seed"], index)
+        reference = _scalar_rate_series(fn.config, 720, reference_rng)
+        rng = trace_rng(params["trace_seed"], index)
+        assert azure_rate_series(fn.config, 720, rng).tobytes() == reference.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert 0 < sporadic < 200
+
+
 def test_rate_series_rejects_bad_duration():
     with pytest.raises(ValueError, match="duration_minutes"):
         azure_rate_series(CHUNK_CONFIGS["steady"], 0, np.random.default_rng(1))
@@ -151,6 +269,23 @@ def test_run_twice_is_byte_stable():
     first = merge_trace_shards(SweepRunner(_small_sweep(shards=3), workers=1).run())
     second = merge_trace_shards(SweepRunner(_small_sweep(shards=3), workers=1).run())
     assert canonical_json(first) == canonical_json(second)
+
+
+#: sha256 of the merged SMALL replay (4 shards) — with the default sketch
+#: (every shard exact) and with an overflowing one (Algorithm R sampling).
+GOLDEN_MERGED_SHA256 = {
+    64: "078449d398a42e115239ff68262c76f4759af3784e820f5d8f1efb009e67244b",
+    16: "8f5d16d756db0ce5d8b2a134ddf7f773d57eee2b828f918840fbf5715313b4ce",
+}
+
+
+@pytest.mark.parametrize("sketch_size", sorted(GOLDEN_MERGED_SHA256))
+def test_merged_replay_matches_golden_digest(sketch_size):
+    """The merged envelope's bytes are pinned, not only self-consistent."""
+    sweep = _small_sweep(shards=4, sketch_size=sketch_size)
+    merged = merge_trace_shards(SweepRunner(sweep, workers=1).run())
+    digest = hashlib.sha256(canonical_json(merged).encode()).hexdigest()
+    assert digest == GOLDEN_MERGED_SHA256[sketch_size]
 
 
 def test_shard_decomposition_invariance_with_exhaustive_sketch():
@@ -242,6 +377,41 @@ def _reservoir_state(values, max_samples=4096):
     return sketch.state()
 
 
+def _full_state(reservoir):
+    """Sample, count and RNG state: everything a fold can change."""
+    return (list(reservoir._sorted), reservoir.count, reservoir._rng.getstate())
+
+
+def test_sketch_add_many_matches_add_on_distinct_values():
+    """The shared batched fold ≡ per-element ``add`` for both reservoirs.
+
+    Distinct values make every replacement visible (a wrong victim
+    index changes the sample), across batch sizes from one element to
+    the whole stream.
+    """
+    from repro.core.estimation.service_time import StreamingQuantile
+
+    values = [float(v) for v in np.random.default_rng(4).permutation(2000)]
+    for reservoir in (ReservoirQuantiles, StreamingQuantile):
+        reference = reservoir(max_samples=64, seed=5)
+        for value in values:
+            reference.add(value)
+        for batch in (1, 7, 64, 500, 2000):
+            batched = reservoir(max_samples=64, seed=5)
+            for start in range(0, len(values), batch):
+                batched.add_many(values[start:start + batch])
+            assert _full_state(batched) == _full_state(reference), (reservoir, batch)
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_sketch_add_many_rejects_bad_values_after_folding_the_prefix(bad):
+    sketch = ReservoirQuantiles(max_samples=10)
+    with pytest.raises(ValueError, match="non-negative"):
+        sketch.add_many([1.0, 2.0, bad, 3.0])
+    assert sketch.count == 2
+    assert sketch.state()["samples"] == [1.0, 2.0]
+
+
 def test_reservoir_state_snapshot():
     state = _reservoir_state([3.0, 1.0, 2.0], max_samples=10)
     assert state == {"count": 3, "max_samples": 10, "samples": [1.0, 2.0, 3.0]}
@@ -290,6 +460,23 @@ def test_merge_flags_sampled_states_and_validates_quantiles():
         merge_reservoir_states([_reservoir_state([1.0])], quantiles=(1.5,))
 
 
+@pytest.mark.parametrize("corrupt, problem", [
+    (dict(count=-1, samples=[]), "negative count"),
+    (dict(count=2, samples=[1.0, 2.0, 3.0]), "below its 3 samples"),
+    (dict(count=50, max_samples=10, samples=[float(v) for v in range(11)]),
+     "exceed max_samples"),
+    (dict(count=5, samples=[]), "no samples"),
+    (dict(count=3, samples=[1.0, float("nan"), 2.0]), "non-finite"),
+    (dict(count=3, samples=[1.0, float("inf"), 2.0]), "non-finite"),
+])
+def test_merge_rejects_corrupt_states(corrupt, problem):
+    """A state no reservoir could produce is named, never merged."""
+    good = _reservoir_state([1.0, 2.0], max_samples=10)
+    bad = dict(good, **corrupt)
+    with pytest.raises(ValueError, match=rf"reservoir state 1 is invalid: .*{problem}"):
+        merge_reservoir_states([good, bad])
+
+
 def test_merge_trace_shards_permutation_regression():
     """Shuffling the sweep's results list never changes merged bytes."""
     envelope = SweepRunner(_small_sweep(shards=4), workers=1).run()
@@ -327,6 +514,11 @@ def test_merge_rejects_bad_envelopes():
                    + [envelope["results"][0]])
     with pytest.raises(ValueError, match="tile"):
         merge_trace_shards(doubled)
+    # a shard sketch that claims fewer observations than it retains
+    results = json.loads(json.dumps(envelope["results"]))
+    results[1]["replay"]["sketch"]["count"] = 0
+    with pytest.raises(ValueError, match="reservoir state 1 is invalid"):
+        merge_trace_shards(dict(envelope, results=results))
 
 
 # ----------------------------------------------------------------------
