@@ -38,13 +38,17 @@ byte-identical event stream they always did.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Mapping
 
 from repro.cluster.cluster import EdgeCluster
 from repro.cluster.container import Container, ContainerState
 from repro.core.policy import ControlPolicy
 from repro.faults.spec import FaultSpec, NodeFailureSpec
-from repro.metrics.availability import AvailabilityTracker, RecoveryRecord
+from repro.metrics.availability import (
+    AvailabilityTracker,
+    RecoveryRecord,
+    request_availability,
+)
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import SimulationEngine
 from repro.sim.request import Request
@@ -233,28 +237,22 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def report(self, duration: float) -> Dict[str, Any]:
+    def report(self, duration: float, counters: Mapping[str, int]) -> Dict[str, Any]:
         """The ``faults`` group of the scenario results envelope.
 
         ``duration`` bounds the availability integral (the workload
-        horizon, not the drain tail).  All values are plain JSON types
-        and a pure function of the run, so results stay byte-stable.
+        horizon, not the drain tail); ``counters`` are the run's metric
+        counters, from which request availability is computed.  All
+        values are plain JSON types and a pure function of the run, so
+        results stay byte-stable.
         """
-        counters = self.metrics.counters
-        completions = counters.get("completions", 0)
-        failed = counters.get("failed_requests", 0)
-        drops = counters.get("drops", 0)
-        served_or_lost = completions + failed + drops
-        request_availability = (
-            completions / served_or_lost if served_or_lost else 1.0
-        )
         report: Dict[str, Any] = {
             "capacity_availability": self.availability.mean_availability(duration),
-            "request_availability": request_availability,
+            "request_availability": request_availability(counters),
             "node_failures": counters.get("node_failures", 0),
             "node_recoveries": counters.get("node_recoveries", 0),
             "container_crashes": counters.get("container_crashes", 0),
-            "failed_requests": failed,
+            "failed_requests": counters.get("failed_requests", 0),
             "requeued_requests": counters.get("requeued_requests", 0),
         }
         report.update(self.availability.as_dict())

@@ -35,10 +35,10 @@ runs pure functions of ``(scenario, seed)``.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, TYPE_CHECKING
+from typing import Any, Dict, List, Mapping, TYPE_CHECKING
 
 from repro.faults.spec import FaultSpec, SiteBlackoutSpec, WanPartitionSpec
-from repro.metrics.availability import AvailabilityTracker
+from repro.metrics.availability import AvailabilityTracker, request_availability
 from repro.sim.engine import SimulationEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -197,19 +197,15 @@ class FederationFaultInjector:
         return sum(len(requests) for requests in self._parked.values())
 
     def report(self, duration: float,
-               merged_counters: Counter) -> Dict[str, Any]:
+               counters: Mapping[str, int]) -> Dict[str, Any]:
         """The ``faults`` group of a federated results envelope.
 
-        ``merged_counters`` is the federation-wide merged metrics
-        counter set (completions/failures/drops across every site) from
-        which request availability is computed; per-site recovery time
-        — the acceptance-criterion number — comes from each site's own
+        ``counters`` is the federation-wide merged metrics counter set
+        (completions/failures/drops across every site) from which
+        request availability is computed; per-site recovery time — the
+        acceptance-criterion number — comes from each site's own
         tracker.
         """
-        completions = merged_counters.get("completions", 0)
-        failed = merged_counters.get("failed_requests", 0)
-        dropped = merged_counters.get("drops", 0)
-        attempted = completions + failed + dropped
         sites: Dict[str, Any] = {}
         for name in self.federation.site_names():
             tracker = self.site_availability[name]
@@ -220,8 +216,7 @@ class FederationFaultInjector:
         return {
             "capacity_availability":
                 self.federation_availability.mean_availability(duration),
-            "request_availability":
-                completions / attempted if attempted else 1.0,
+            "request_availability": request_availability(counters),
             "site_blackouts": self.counters.get("site_blackouts", 0),
             "site_recoveries": self.counters.get("site_recoveries", 0),
             "wan_partitions": self.counters.get("wan_partitions", 0),

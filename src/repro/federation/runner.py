@@ -1,7 +1,13 @@
 """Runs one federated simulation: N sites, one engine, one global router.
 
-The federated analogue of :class:`~repro.simulation.SimulationRunner`.
-One :class:`~repro.sim.engine.SimulationEngine` drives every site, so
+Each site is wired exactly like the single cluster of
+:class:`~repro.simulation.SimulationRunner`, by the shared
+:class:`~repro.simulation.RunAssembly`: the bindings deployed, the
+site's policy built, one arrival generator per function, one prewarm
+and one drive.  What this module adds is only what is federated: the
+global router, the site health monitor, the ingress/route/deliver/drop
+path below, :class:`RouterStats`, and the ``federation`` report.  One
+:class:`~repro.sim.engine.SimulationEngine` drives every site, so
 cross-site causality (WAN transit, bounced deliveries, probe timing)
 is totally ordered and the whole run stays a pure function of
 ``(scenario, seed)``.
@@ -42,22 +48,18 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.cluster.cluster import EdgeCluster
 from repro.core.controller import ControllerConfig
-from repro.core.estimation.service_time import ServiceTimeProfile
-from repro.core.policy import PolicyContext, get_policy
 from repro.faults.spec import FaultSpec
-from repro.federation.cluster import FederatedCluster, FederatedSite
+from repro.federation.cluster import FederatedCluster
 from repro.federation.health import SiteHealthMonitor
 from repro.federation.injector import FederationFaultInjector
 from repro.federation.router import RouterContext, build_router
 from repro.federation.spec import FederationSpec
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.percentiles import WaitingTimeSummary
-from repro.metrics.slo import SloReport
-from repro.sim.engine import SimulationEngine
+from repro.simulation import RunAssembly, SimulationResult
 from repro.sim.request import Request
-from repro.sim.rng import RngStreams
-from repro.workloads.generator import ArrivalGenerator, WorkloadBinding
+from repro.workloads.generator import WorkloadBinding
 
 
 class RouterStats:
@@ -86,40 +88,30 @@ class RouterStats:
         }
 
 
-class FederatedSimulationResult:
+class FederatedSimulationResult(SimulationResult):
     """Everything a finished federated run exposes for analysis.
 
-    Interface-compatible with :class:`~repro.simulation.SimulationResult`
-    for the metric-collection paths the scenario layer uses
-    (``waiting_summary`` / ``slo`` / ``mean_utilization`` /
-    ``generated_requests`` / ``.metrics``): the per-site request lists
-    are merged in site order into one collector, and utilisation is the
-    configured-CPU-weighted mean over sites.
+    A :class:`~repro.simulation.SimulationResult` whose collector is
+    the per-site request lists merged in site order (and the per-site
+    counters summed), and whose utilisation is the configured-CPU-
+    weighted mean over sites.  There is no single cluster or policy:
+    ``cluster`` and ``controller`` are ``None``, and each site's own are
+    on ``federation.sites``.
     """
 
     def __init__(self, federation: FederatedCluster, duration: float,
                  generated_requests: Dict[str, int]) -> None:
         """Merge per-site metrics into one federation-wide collector."""
-        self.federation = federation
-        self.duration = duration
-        self.generated_requests = dict(generated_requests)
         merged = MetricsCollector()
         requests: List[Request] = []
         for site in federation.sites:
             requests.extend(site.metrics.requests)
             merged.counters.update(site.metrics.counters)
         merged.requests = requests
-        self.metrics = merged
-
-    def waiting_summary(self, function_name: Optional[str] = None,
-                        warmup: float = 0.0) -> WaitingTimeSummary:
-        """Federation-wide waiting-time percentiles for one function (or all)."""
-        return self.metrics.waiting_summary(function_name, warmup)
-
-    def slo(self, deadlines: Mapping[str, float], percentile: float = 0.95,
-            warmup: float = 0.0) -> Dict[str, SloReport]:
-        """Federation-wide SLO attainment per function."""
-        return self.metrics.slo(deadlines, percentile, warmup)
+        super().__init__(metrics=merged, cluster=None, controller=None,
+                         duration=duration,
+                         generated_requests=dict(generated_requests))
+        self.federation = federation
 
     def mean_utilization(self, start: float = 0.0,
                          end: Optional[float] = None) -> float:
@@ -133,7 +125,7 @@ class FederatedSimulationResult:
         return total / weight if weight else 0.0
 
 
-class FederatedSimulationRunner:
+class FederatedSimulationRunner(RunAssembly):
     """Builds and runs one complete federated simulation.
 
     Parameters
@@ -144,7 +136,8 @@ class FederatedSimulationRunner:
         be routed anywhere), and originates at
         ``federation.origin_of(name)``.
     federation:
-        The :class:`~repro.federation.spec.FederationSpec` topology.
+        The :class:`~repro.federation.spec.FederationSpec` topology;
+        each site runs its own ``policy`` / ``policy_params``.
     controller_config:
         Shared per-site controller parameters (epoch length, ...).
     seed:
@@ -165,50 +158,19 @@ class FederatedSimulationRunner:
         federation: FederationSpec,
         controller_config: Optional[ControllerConfig] = None,
         seed: int = 1,
-        use_offline_profiles: bool = True,
         warm_start_containers: Optional[Mapping[str, int]] = None,
-        arrival_batch_size: int = 256,
         fault_spec: Optional[FaultSpec] = None,
     ) -> None:
-        """Build the engine, sites, per-site policies, router, and generators."""
-        if not workloads:
-            raise ValueError("at least one workload binding is required")
-        names = [w.profile.name for w in workloads]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate function names in workload bindings")
+        """Build the sites and their policies, the router, the generators and the fault injector."""
+        super().__init__(workloads, seed, warm_start_containers)
         self.spec = federation
-        self.bindings = list(workloads)
-        self.engine = SimulationEngine()
-        self.rng = RngStreams(seed)
         self.federation = FederatedCluster(self.engine, federation)
-
-        profiles: Dict[str, ServiceTimeProfile] = {}
-        default_rates: Dict[str, float] = {}
-        for binding in self.bindings:
-            default_rates[binding.profile.name] = binding.profile.service_rate
-            if use_offline_profiles:
-                profiles[binding.profile.name] = binding.profile.to_service_profile()
-
         config = controller_config or ControllerConfig()
         for site in self.federation.sites:
-            for binding in self.bindings:
-                site.cluster.deploy(binding.profile.to_deployment(
-                    weight=binding.weight,
-                    user=binding.user,
-                    slo_deadline=binding.slo_deadline,
-                ))
-            descriptor = get_policy(site.spec.policy)
-            context = PolicyContext(
-                engine=self.engine,
-                cluster=site.cluster,
-                metrics=site.metrics,
-                config=config,
-                service_profiles=profiles,
-                default_service_rates=default_rates,
-            )
             site.attach_policy(
-                descriptor.factory(context, dict(site.spec.policy_params)),
-                default_rates,
+                self._deploy_policy(site.cluster, site.metrics, config,
+                                    site.spec.policy, site.spec.policy_params),
+                self.default_rates,
             )
 
         self.monitor = SiteHealthMonitor(
@@ -228,21 +190,8 @@ class FederatedSimulationRunner:
             binding.profile.name: federation.origin_of(binding.profile.name)
             for binding in self.bindings
         }
+        self._make_generators(self._ingress)
 
-        self.generators: List[ArrivalGenerator] = []
-        for binding in self.bindings:
-            self.generators.append(ArrivalGenerator(
-                engine=self.engine,
-                profile=binding.profile,
-                schedule=binding.schedule,
-                dispatch=self._ingress,
-                rng=self.rng.stream(f"arrivals:{binding.profile.name}"),
-                slo_deadline=binding.slo_deadline,
-                batch_size=arrival_batch_size,
-                work_rng=self.rng.stream(f"work:{binding.profile.name}"),
-            ))
-
-        self._warm_start = dict(warm_start_containers or {})
         self.fault_injector: Optional[FederationFaultInjector] = None
         if fault_spec is not None and not fault_spec.is_empty():
             if fault_spec.has_node_faults():
@@ -331,37 +280,21 @@ class FederatedSimulationRunner:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def prewarm(self) -> None:
-        """Create warm-start containers at each function's origin site."""
-        max_latency = 0.0
-        created = 0
-        for name, count in self._warm_start.items():
-            site = self.federation.site(self._origins.get(
-                name, self.spec.sites[0].name))
-            for _ in range(count):
-                site.cluster.create_container(name)
-                created += 1
-            max_latency = max(max_latency, site.spec.cold_start_latency)
-        if created:
-            self.engine.run(until=self.engine.now + max_latency + 1e-6)
+    def _warm_cluster(self, function_name: str) -> EdgeCluster:
+        """Warm-start containers go on the function's origin site."""
+        return self.federation.site(self.spec.origin_of(function_name)).cluster
 
-    def run(self, duration: float,
-            extra_drain: float = 5.0) -> FederatedSimulationResult:
-        """Run the federated simulation for ``duration`` seconds of workload."""
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        self.prewarm()
+    def _start(self) -> None:
+        """Start every site's control loop, then the health probes and the router."""
         for site in self.federation.sites:
             site.policy.start()
         self.monitor.start()
         self.router.start()
-        for generator in self.generators:
-            if generator.horizon is None or generator.horizon > duration:
-                generator.horizon = duration
-        for generator in self.generators:
-            generator.start()
-        self.engine.run(until=duration + extra_drain)
-        generated = {g.profile.name: g.generated for g in self.generators}
+
+    def run(self, duration: float,
+            extra_drain: float = 5.0) -> FederatedSimulationResult:
+        """Run the federated simulation for ``duration`` seconds of workload."""
+        generated = self._drive(duration, extra_drain)
         return FederatedSimulationResult(
             federation=self.federation,
             duration=duration,

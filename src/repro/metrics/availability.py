@@ -9,6 +9,9 @@ recovery experiments report:
   ``available_cpu / configured_cpu`` over the run, where *configured*
   is the cluster as specced and *available* excludes failed nodes.  A
   run with no failures scores exactly ``1.0``.
+* **request availability** — :func:`request_availability`, the share
+  of requests that completed among those that completed, failed or
+  were dropped (``1.0`` when none did).
 * **recovery records** — one :class:`RecoveryRecord` per node failure,
   tracking when the *controller* (not the node) restored service: the
   first time every function that lost warm capacity is back at its
@@ -24,7 +27,7 @@ cannot perturb determinism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 
 @dataclass
@@ -221,4 +224,12 @@ class AvailabilityTracker:
         }
 
 
-__all__ = ["AvailabilityTracker", "RecoveryRecord"]
+def request_availability(counters: Mapping[str, int]) -> float:
+    """Completions over completions, failed and dropped requests in ``counters``."""
+    completions = counters.get("completions", 0)
+    attempted = (completions + counters.get("failed_requests", 0)
+                 + counters.get("drops", 0))
+    return completions / attempted if attempted else 1.0
+
+
+__all__ = ["AvailabilityTracker", "RecoveryRecord", "request_availability"]

@@ -88,7 +88,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
 # ----------------------------------------------------------------------
 # Metric collection shared by the simulation kinds
 # ----------------------------------------------------------------------
-def _collect_metrics(spec: ScenarioSpec, result, controller=None) -> Dict[str, Any]:
+def _collect_metrics(spec: ScenarioSpec, result) -> Dict[str, Any]:
     """Build the ``metrics`` group of the results envelope from a finished run."""
     metrics: Dict[str, Any] = {}
     names = [w.function for w in spec.workloads]
@@ -124,10 +124,9 @@ def _collect_metrics(spec: ScenarioSpec, result, controller=None) -> Dict[str, A
                 for p in series
             ]
         metrics["timeline"] = timeline
-    if ("guaranteed_cpu" in wanted and controller is not None
-            and hasattr(controller, "guaranteed_cpu_shares")):
+    if "guaranteed_cpu" in wanted and hasattr(result.controller, "guaranteed_cpu_shares"):
         # only fair-share policies (LaSS) expose guaranteed shares
-        metrics["guaranteed_cpu"] = dict(controller.guaranteed_cpu_shares())
+        metrics["guaranteed_cpu"] = dict(result.controller.guaranteed_cpu_shares())
     return metrics
 
 
@@ -142,86 +141,65 @@ def _envelope(spec: ScenarioSpec, **extra: Any) -> Dict[str, Any]:
 # kind = "simulate"
 # ----------------------------------------------------------------------
 def _run_simulate(spec: ScenarioSpec) -> ScenarioOutcome:
-    """Full controller-driven run through :class:`SimulationRunner`.
+    """Full controller-driven run, on one cluster or across a federation.
 
-    The control plane is whatever registered policy the spec names
-    (``spec.controller.policy``, default LaSS); every policy sees the
-    same workloads, cluster, seed, and fault schedule.  Policies may
-    contribute an extra results group (``ControlPolicy.results_extra``)
-    — the OpenWhisk policy's invoker-failure report arrives this way.
+    Without a federation spec, :class:`~repro.simulation.SimulationRunner`
+    runs the policy the spec names (``spec.controller.policy``, default
+    LaSS); every policy sees the same workloads, cluster, seed, and
+    fault schedule, and may contribute an extra results group
+    (``ControlPolicy.results_extra`` — the OpenWhisk policy's
+    invoker-failure report arrives this way).  With one,
+    :class:`~repro.federation.runner.FederatedSimulationRunner` runs N
+    sites under a global router; ``metrics`` then comes from the merged
+    per-site collectors, plus a ``federation`` group (router stats,
+    health-belief transitions, per-site summaries).  Either way a
+    ``faults`` group is present exactly when the spec carries faults.
     """
     from repro.core.allocation.hierarchy import SchedulingTree
+    from repro.federation.runner import FederatedSimulationRunner
     from repro.simulation import SimulationRunner
 
-    if spec.federation is not None:
-        return _run_federated(spec)
-    bindings = [w.build() for w in spec.workloads]
-    tree = None
-    if spec.user_weights is not None:
-        assignment = {w.function: w.user for w in spec.workloads}
-        tree = SchedulingTree.two_level(dict(spec.user_weights), assignment)
-    runner = SimulationRunner(
-        workloads=bindings,
-        cluster_config=spec.cluster.build() if spec.cluster is not None else None,
+    common = dict(
+        workloads=[w.build() for w in spec.workloads],
         controller_config=spec.controller.build(),
-        scheduling_tree=tree,
         seed=spec.seed,
         warm_start_containers=dict(spec.warm_start) or None,
         fault_spec=spec.faults,
-        policy=spec.controller.policy,
-        policy_params=dict(spec.controller.policy_params),
-        data_plane=spec.data_plane,
     )
-    if "guaranteed_cpu" in spec.metrics and not hasattr(runner.policy, "guaranteed_cpu_shares"):
-        # fail fast instead of silently omitting the requested group
-        raise ValueError(
-            f"metric 'guaranteed_cpu' requires a fair-share policy; "
-            f"policy {spec.controller.policy!r} does not expose guaranteed CPU shares"
+    if spec.federation is not None:
+        runner = FederatedSimulationRunner(federation=spec.federation, **common)
+    else:
+        tree = None
+        if spec.user_weights is not None:
+            assignment = {w.function: w.user for w in spec.workloads}
+            tree = SchedulingTree.two_level(dict(spec.user_weights), assignment)
+        runner = SimulationRunner(
+            cluster_config=spec.cluster.build() if spec.cluster is not None else None,
+            scheduling_tree=tree,
+            policy=spec.controller.policy,
+            policy_params=dict(spec.controller.policy_params),
+            data_plane=spec.data_plane,
+            **common,
         )
+        if ("guaranteed_cpu" in spec.metrics
+                and not hasattr(runner.policy, "guaranteed_cpu_shares")):
+            # fail fast instead of silently omitting the requested group
+            raise ValueError(
+                f"metric 'guaranteed_cpu' requires a fair-share policy; "
+                f"policy {spec.controller.policy!r} does not expose guaranteed CPU shares"
+            )
     result = runner.run(duration=spec.duration, extra_drain=spec.extra_drain)
-    data = _envelope(spec, metrics=_collect_metrics(spec, result, runner.policy))
-    extra = runner.policy.results_extra()
-    if extra is not None:
-        group, payload = extra
-        data[group] = payload
+    data = _envelope(spec, metrics=_collect_metrics(spec, result))
+    if spec.federation is not None:
+        data["federation"] = runner.federation_report()
+    else:
+        extra = runner.policy.results_extra()
+        if extra is not None:
+            group, payload = extra
+            data[group] = payload
     if runner.fault_injector is not None:
         # present exactly when the (normalised) spec carries faults, so a
         # faults-disabled run stays byte-identical to the healthy scenario
-        data["faults"] = runner.fault_injector.report(spec.duration)
-    return ScenarioOutcome(spec=spec, data=data, sim=result)
-
-
-# ----------------------------------------------------------------------
-# kind = "simulate" with a federation spec
-# ----------------------------------------------------------------------
-def _run_federated(spec: ScenarioSpec) -> ScenarioOutcome:
-    """Federated run: N sites under a global router.
-
-    Rides the same envelope machinery as the single-cluster executor —
-    ``metrics`` comes from the merged per-site collectors — plus a
-    ``federation`` group (router stats, health-belief transitions,
-    per-site summaries) and, when site faults are armed, a ``faults``
-    group with per-site + federation-level availability and recovery
-    times.
-    """
-    from repro.federation.runner import FederatedSimulationRunner
-
-    bindings = [w.build() for w in spec.workloads]
-    runner = FederatedSimulationRunner(
-        workloads=bindings,
-        federation=spec.federation,
-        controller_config=spec.controller.build(),
-        seed=spec.seed,
-        warm_start_containers=dict(spec.warm_start) or None,
-        fault_spec=spec.faults,
-    )
-    result = runner.run(duration=spec.duration, extra_drain=spec.extra_drain)
-    data = _envelope(
-        spec,
-        metrics=_collect_metrics(spec, result),
-        federation=runner.federation_report(),
-    )
-    if runner.fault_injector is not None:
         data["faults"] = runner.fault_injector.report(
             spec.duration, result.metrics.counters)
     return ScenarioOutcome(spec=spec, data=data, sim=result)

@@ -562,7 +562,10 @@ class ScenarioSpec:
         (``simulate`` kind, event data plane only): run the workloads
         across N federated edge sites under a global router instead of
         one cluster.  Federated scenarios size their clusters per site
-        (``cluster`` must stay ``None``), take only *site-level* faults
+        (``cluster`` must stay ``None``) and pick each site's policy
+        there too (``federation.sites[*].policy`` / ``policy_params``,
+        so ``controller.policy`` / ``controller.policy_params`` must keep
+        their defaults), take only *site-level* faults
         (``site_blackouts`` / ``wan_partitions``), and do not support
         the ``timeline`` / ``guaranteed_cpu`` metric groups or
         ``user_weights``.
@@ -645,6 +648,13 @@ class ScenarioSpec:
                 )
             if self.user_weights is not None:
                 raise ValueError("federated scenarios do not support user_weights")
+            if (self.controller.policy != ControllerSpec.policy
+                    or self.controller.policy_params):
+                raise ValueError(
+                    "federated scenarios run each site's own policy: set "
+                    "federation.sites[*].policy / policy_params instead of "
+                    "controller.policy / controller.policy_params"
+                )
             unsupported = [m for m in self.metrics
                            if m in ("timeline", "guaranteed_cpu")]
             if unsupported:

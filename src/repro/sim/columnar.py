@@ -309,11 +309,6 @@ class ColumnarKernel:
         self._comp: List[Tuple[float, int, _Slot]] = []
         self._seq = 0
         self._slots: List[_Slot] = []
-        # streaming percentiles need completions in cross-function order,
-        # which only the global buffer preserves; otherwise completions
-        # accumulate in the cheaper per-function buffers
-        self._streaming = bool(plan.collector.streaming_percentiles)
-        self._comp_buffer: List[Tuple[_FnState, int, float]] = []
         self._attached_live: List[Tuple[_FnState, int]] = []
         self._row_by_rid: Dict[int, Tuple[_FnState, int]] = {}
         self._absorb()
@@ -345,8 +340,7 @@ class ColumnarKernel:
             self._absorb()
         self._flush()
         self._materialize()
-        if self.collector.store_requests:
-            self.collector.defer_requests(self._fill, self._columns)
+        self.collector.defer_requests(self._fill, self._columns)
         # settle the clock (and any past-horizon events) like the event plane
         engine.run(until=until)
 
@@ -373,8 +367,6 @@ class ColumnarKernel:
         injector = self.injector
         crash_decision = injector.crash_decision if injector is not None else None
         create = self.plan.create_on_empty
-        streaming = self._streaming
-        buffer_append = self._comp_buffer.append
         pick = self._pick
         seq = self._seq
         running = RequestStatus.RUNNING
@@ -467,11 +459,8 @@ class ColumnarKernel:
                         if obj is not None:
                             obj.status = completed_status
                             obj.completion_time = t
-                    if streaming:
-                        buffer_append((fs, i, slot.cpu_fraction))
-                    else:
-                        fs.done_rows.append(i)
-                        fs.done_fracs.append(slot.cpu_fraction)
+                    fs.done_rows.append(i)
+                    fs.done_fracs.append(slot.cpu_fraction)
                     # pull the next queued request onto the freed container
                     queue = fs.queue
                     dispatched = False
@@ -603,8 +592,8 @@ class ColumnarKernel:
 
         Runs before every engine boundary, so everything the control
         plane can observe (rate estimators, epoch arrival counts,
-        counters, streaming summaries) is exactly as the event-level
-        plane would have left it at that timestamp.
+        counters) is exactly as the event-level plane would have left
+        it at that timestamp.
         """
         plan = self.plan
         collector = self.collector
@@ -618,48 +607,28 @@ class ColumnarKernel:
                 collector.fold_arrivals(pos - start)
                 fs.flush_pos = pos
         fold_completions = plan.fold_completions
-        buffer = self._comp_buffer
-        if buffer:
-            # streaming summaries must see waits in cross-function
-            # completion order (the global reservoir's RNG consumption
-            # depends on it), so streaming mode folds per item
-            fold_completion = collector.fold_completion
-            for fs, i, _ in buffer:
-                fold_completion(fs.name, fs.start[i] - fs.times[i], fs.cold[i])
+        count = 0
+        cold = 0
+        for fs in self._fn_list:
+            rows = fs.done_rows
+            if not rows:
+                continue
+            count += len(rows)
+            cold += sum(map(fs.cold.__getitem__, rows))
             if fold_completions is not None:
-                # per-function estimators are independent, so grouping by
-                # function (preserving per-function completion order) is
-                # exact — and lets the policy observe a whole batch at once
-                groups: Dict[_FnState, Tuple[List[float], List[float]]] = {}
-                for fs, i, cpu_fraction in buffer:
-                    group = groups.get(fs)
-                    if group is None:
-                        group = groups[fs] = ([], [])
-                    group[0].append(cpu_fraction)
-                    group[1].append(fs.finish[i] - fs.start[i])
-                for fs, (fractions, stimes) in groups.items():
-                    fold_completions(fs.name, fractions, stimes)
-            buffer.clear()
-        if not self._streaming:
-            count = 0
-            cold = 0
-            for fs in self._fn_list:
-                rows = fs.done_rows
-                if not rows:
-                    continue
-                count += len(rows)
-                cold += sum(map(fs.cold.__getitem__, rows))
-                if fold_completions is not None:
-                    start = fs.start
-                    finish = fs.finish
-                    fold_completions(
-                        fs.name, fs.done_fracs,
-                        [finish[i] - start[i] for i in rows],
-                    )
-                fs.done_rows = []
-                fs.done_fracs = []
-            if count:
-                collector.fold_completions_bulk(count, cold)
+                # per-function estimators are independent, so folding
+                # each function's completions as one batch (in its own
+                # completion order) is exact
+                start = fs.start
+                finish = fs.finish
+                fold_completions(
+                    fs.name, fs.done_fracs,
+                    [finish[i] - start[i] for i in rows],
+                )
+            fs.done_rows = []
+            fs.done_fracs = []
+        if count:
+            collector.fold_completions_bulk(count, cold)
 
     # ------------------------------------------------------------------
     # Object-state synchronization

@@ -1,4 +1,14 @@
-"""High-level simulation runner: wire workloads, cluster, and controller together.
+"""Run assembly: wire workloads, clusters, and control policies into one run.
+
+Every edge cluster runs the same control loop (Algorithm 1 sizing, fair
+share, reclamation), whether it is the only cluster of a run or one
+site of a federation.  :class:`RunAssembly` is the one place that loop
+is wired: binding validation, deploying the bindings on a cluster,
+building its policy, one arrival generator per binding, the prewarm,
+and the drive of the engine.  :class:`SimulationRunner` is the
+single-cluster run built on it, and
+:class:`~repro.federation.runner.FederatedSimulationRunner` the
+federated one.
 
 This is the main entry point for examples and experiments::
 
@@ -21,9 +31,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.cluster.cluster import ClusterConfig, EdgeCluster
+from repro.cluster.container import ContainerState
 from repro.core.controller import ControllerConfig
-from repro.core.policy import ControlPolicy, PolicyContext, get_policy
-from repro.core.estimation.service_time import ServiceTimeProfile
+from repro.core.policy import ControlPolicy, PolicyContext, build_policy
 from repro.core.allocation.hierarchy import SchedulingTree
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultSpec
@@ -31,8 +41,12 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.percentiles import WaitingTimeSummary
 from repro.metrics.slo import SloReport
 from repro.sim.engine import SimulationEngine
+from repro.sim.request import Request
 from repro.sim.rng import RngStreams
 from repro.workloads.generator import ArrivalGenerator, WorkloadBinding
+
+#: A registered policy name, or an ad-hoc ``factory(context) -> ControlPolicy``.
+PolicyChoice = Union[str, Callable[[PolicyContext], ControlPolicy]]
 
 
 @dataclass
@@ -42,12 +56,14 @@ class SimulationResult:
     ``controller`` is the run's control-plane policy — a
     :class:`~repro.core.controller.LassController` by default, or
     whichever registered :class:`~repro.core.policy.ControlPolicy` the
-    runner was asked for.
+    runner was asked for.  A federated run has no single cluster or
+    policy, so both are ``None`` there (see
+    :class:`~repro.federation.runner.FederatedSimulationResult`).
     """
 
     metrics: MetricsCollector
-    cluster: EdgeCluster
-    controller: ControlPolicy
+    cluster: Optional[EdgeCluster]
+    controller: Optional[ControlPolicy]
     duration: float
     generated_requests: Dict[str, int] = field(default_factory=dict)
 
@@ -73,8 +89,147 @@ class SimulationResult:
         return self.metrics.timeline.cpu_series(function_name)
 
 
-class SimulationRunner:
-    """Builds and runs one complete LaSS simulation.
+class RunAssembly:
+    """The per-run wiring shared by the single-cluster and federated runners.
+
+    Builds one :class:`~repro.sim.engine.SimulationEngine` and one
+    :class:`~repro.sim.rng.RngStreams` per run after validating the
+    bindings (at least one, unique function names).  A subclass then
+    calls :meth:`_deploy_policy` once per cluster and
+    :meth:`_make_generators` once, and its ``run`` calls :meth:`_drive`.
+    It says where a function's warm-start containers go
+    (``_warm_cluster(name)``), what starts before the workload
+    (``_start()``) and, optionally, which columnar kernel stands in for
+    the event plane (:meth:`_kernel`).
+    """
+
+    def __init__(self, workloads: Sequence[WorkloadBinding], seed: int,
+                 warm_start_containers: Optional[Mapping[str, int]]) -> None:
+        """Validate the bindings and create the engine and random streams."""
+        if not workloads:
+            raise ValueError("at least one workload binding is required")
+        names = [w.profile.name for w in workloads]
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate function names in workload bindings")
+        self.bindings = list(workloads)
+        self.engine = SimulationEngine()
+        self.rng = RngStreams(seed)
+        #: Each function's service rate at the standard size.
+        self.default_rates: Dict[str, float] = {
+            b.profile.name: b.profile.service_rate for b in self.bindings
+        }
+        # the paper's option 1: every policy gets each function's offline
+        # service-time profile
+        self._profiles = {b.profile.name: b.profile.to_service_profile()
+                          for b in self.bindings}
+        self.generators: List[ArrivalGenerator] = []
+        self._warm_start = dict(warm_start_containers or {})
+
+    def _deploy_policy(self, cluster: EdgeCluster, metrics: MetricsCollector,
+                       config: Optional[ControllerConfig], policy: PolicyChoice,
+                       policy_params: Optional[Mapping[str, Any]] = None,
+                       scheduling_tree: Optional[SchedulingTree] = None) -> ControlPolicy:
+        """Deploy every binding on ``cluster`` and build its control policy."""
+        for binding in self.bindings:
+            cluster.deploy(binding.profile.to_deployment(
+                weight=binding.weight,
+                user=binding.user,
+                slo_deadline=binding.slo_deadline,
+            ))
+        context = PolicyContext(
+            engine=self.engine,
+            cluster=cluster,
+            metrics=metrics,
+            config=config or ControllerConfig(),
+            scheduling_tree=scheduling_tree,
+            service_profiles=self._profiles,
+            default_service_rates=self.default_rates,
+        )
+        if isinstance(policy, str):
+            return build_policy(policy, context, policy_params)
+        if policy_params:
+            raise ValueError("policy_params require a registered policy name")
+        return policy(context)
+
+    def _make_generators(self, dispatch: Callable[[Request], Any],
+                         batch_size: int = 256) -> None:
+        """One arrival generator per binding, on its own arrival and work streams."""
+        self.generators = [
+            ArrivalGenerator(
+                engine=self.engine,
+                profile=binding.profile,
+                schedule=binding.schedule,
+                dispatch=dispatch,
+                rng=self.rng.stream(f"arrivals:{binding.profile.name}"),
+                slo_deadline=binding.slo_deadline,
+                batch_size=batch_size,
+                work_rng=self.rng.stream(f"work:{binding.profile.name}"),
+            )
+            for binding in self.bindings
+        ]
+
+    def prewarm(self) -> None:
+        """Create the requested warm-start containers and let them finish cold start.
+
+        Idempotent: the containers are created on the first call only,
+        so ``run`` (which always prewarms) may follow an explicit call
+        that adjusted the warm fleet in between.  The engine then steps
+        past the longest cold start among the clusters that received
+        containers.
+        """
+        warm_start, self._warm_start = self._warm_start, {}
+        created = []
+        latency = 0.0
+        sampled = False
+        for name, count in warm_start.items():
+            if count <= 0:
+                continue
+            cluster = self._warm_cluster(name)
+            created.extend(cluster.create_container(name) for _ in range(count))
+            latency = max(latency, cluster.config.cold_start_latency)
+            sampled = sampled or cluster.cold_start_sampler is not None
+        if not created:
+            return
+        if not sampled:
+            self.engine.run(until=self.engine.now + latency + 1e-6)
+            return
+        # cold-start latencies are sampled per container: step until every
+        # warm-start container left STARTING (fault-injected runs only, so
+        # the healthy prewarm path stays byte-exact)
+        while any(c.state is ContainerState.STARTING for c in created):
+            if not self.engine.step():  # pragma: no cover - defensive
+                break
+
+    def _kernel(self) -> Any:
+        """The columnar kernel that replaces the event plane, or ``None``."""
+        return None
+
+    def _drive(self, duration: float, extra_drain: float) -> Dict[str, int]:
+        """Prewarm, start the control loops and the workload, run the engine.
+
+        Generators are clamped to ``duration``; the engine runs
+        ``extra_drain`` seconds past it so in-flight requests complete.
+        Returns the number of requests each function generated.
+        """
+        if duration <= 0:
+            raise ValueError("duration must be positive")
+        self.prewarm()
+        self._start()
+        for generator in self.generators:
+            if generator.horizon is None or generator.horizon > duration:
+                generator.horizon = duration
+        kernel = self._kernel()
+        if kernel is not None:
+            kernel.run(until=duration + extra_drain)
+        else:
+            for generator in self.generators:
+                generator.start()
+            self.engine.run(until=duration + extra_drain)
+        return {g.profile.name: g.generated for g in self.generators}
+
+
+class SimulationRunner(RunAssembly):
+    """Builds and runs one complete single-cluster LaSS simulation.
 
     Parameters
     ----------
@@ -89,9 +244,6 @@ class SimulationRunner:
         bindings' users and weights.
     seed:
         Master seed for all random streams.
-    use_offline_profiles:
-        Give the controller each function's offline service-time profile
-        (the paper's option 1); otherwise it must learn online (option 2).
     warm_start_containers:
         Per-function number of containers to create before the workload
         starts, so experiments that study steady-state behaviour do not
@@ -106,10 +258,6 @@ class SimulationRunner:
         separate arrival and work RNG streams.  ``1`` reproduces the
         seed's per-event cadence and is used by the determinism
         regression test.
-    metrics:
-        Optional pre-built collector — pass
-        ``MetricsCollector(streaming_percentiles=True, store_requests=False)``
-        to keep constant-memory streaming percentiles on very long runs.
     fault_spec:
         Optional :class:`~repro.faults.spec.FaultSpec`; when given (and
         non-empty) a :class:`~repro.faults.injector.FaultInjector` is
@@ -144,82 +292,25 @@ class SimulationRunner:
         controller_config: Optional[ControllerConfig] = None,
         scheduling_tree: Optional[SchedulingTree] = None,
         seed: int = 1,
-        use_offline_profiles: bool = True,
         warm_start_containers: Optional[Mapping[str, int]] = None,
         arrival_batch_size: int = 256,
-        metrics: Optional[MetricsCollector] = None,
         fault_spec: Optional["FaultSpec"] = None,
-        policy: Union[str, Callable[[PolicyContext], ControlPolicy]] = "lass",
+        policy: PolicyChoice = "lass",
         policy_params: Optional[Mapping[str, Any]] = None,
         data_plane: str = "event",
     ) -> None:
-        """Build the engine, cluster, controller, and arrival generators (see the class docstring for parameter semantics)."""
-        if not workloads:
-            raise ValueError("at least one workload binding is required")
+        """Build the cluster, policy, arrival generators and fault injector (see the class docstring)."""
+        super().__init__(workloads, seed, warm_start_containers)
         if data_plane not in ("event", "columnar"):
             raise ValueError(
                 f"unknown data_plane {data_plane!r}; valid: 'event', 'columnar'"
             )
         self.data_plane = data_plane
-        names = [w.profile.name for w in workloads]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate function names in workload bindings")
-
-        self.engine = SimulationEngine()
-        self.rng = RngStreams(seed)
         self.cluster = EdgeCluster(self.engine, cluster_config or ClusterConfig())
-        # pass e.g. MetricsCollector(streaming_percentiles=True,
-        # store_requests=False) so multi-million-request replays hold O(1)
-        # metric state instead of every Request object
-        self.metrics = metrics if metrics is not None else MetricsCollector()
-        self.bindings = list(workloads)
-
-        profiles: Dict[str, ServiceTimeProfile] = {}
-        default_rates: Dict[str, float] = {}
-        for binding in self.bindings:
-            deployment = binding.profile.to_deployment(
-                weight=binding.weight,
-                user=binding.user,
-                slo_deadline=binding.slo_deadline,
-            )
-            self.cluster.deploy(deployment)
-            default_rates[binding.profile.name] = binding.profile.service_rate
-            if use_offline_profiles:
-                profiles[binding.profile.name] = binding.profile.to_service_profile()
-
-        context = PolicyContext(
-            engine=self.engine,
-            cluster=self.cluster,
-            metrics=self.metrics,
-            config=controller_config or ControllerConfig(),
-            scheduling_tree=scheduling_tree,
-            service_profiles=profiles,
-            default_service_rates=default_rates,
-        )
-        if isinstance(policy, str):
-            self.policy: ControlPolicy = get_policy(policy).factory(
-                context, dict(policy_params or {})
-            )
-        else:
-            if policy_params:
-                raise ValueError("policy_params require a registered policy name")
-            self.policy = policy(context)
-
-        self.generators: List[ArrivalGenerator] = []
-        for binding in self.bindings:
-            generator = ArrivalGenerator(
-                engine=self.engine,
-                profile=binding.profile,
-                schedule=binding.schedule,
-                dispatch=self.policy.dispatch,
-                rng=self.rng.stream(f"arrivals:{binding.profile.name}"),
-                slo_deadline=binding.slo_deadline,
-                batch_size=arrival_batch_size,
-                work_rng=self.rng.stream(f"work:{binding.profile.name}"),
-            )
-            self.generators.append(generator)
-
-        self._warm_start = dict(warm_start_containers or {})
+        self.metrics = MetricsCollector()
+        self.policy = self._deploy_policy(self.cluster, self.metrics, controller_config,
+                                          policy, policy_params, scheduling_tree)
+        self._make_generators(self.policy.dispatch, arrival_batch_size)
 
         self.fault_injector: Optional[FaultInjector] = None
         if fault_spec is not None and not fault_spec.is_empty():
@@ -232,34 +323,21 @@ class SimulationRunner:
                 spec=fault_spec,
             )
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def prewarm(self) -> None:
-        """Create the requested warm-start containers and let them finish cold start.
+    def _warm_cluster(self, function_name: str) -> EdgeCluster:
+        """Warm-start containers go on the run's only cluster."""
+        return self.cluster
 
-        Idempotent: the containers are created on the first call only,
-        so :meth:`run` (which always prewarms) may follow an explicit
-        call that adjusted the warm fleet in between.
-        """
-        warm_start, self._warm_start = self._warm_start, {}
-        created = []
-        for name, count in warm_start.items():
-            for _ in range(count):
-                created.append(self.cluster.create_container(name))
-        if not created:
-            return
-        if self.cluster.cold_start_sampler is None:
-            self.engine.run(until=self.engine.now + self.cluster.config.cold_start_latency + 1e-6)
-        else:
-            # cold-start latencies are sampled per container: step until every
-            # warm-start container left STARTING (fault-injected runs only,
-            # so the healthy prewarm path stays byte-exact)
-            from repro.cluster.container import ContainerState
+    def _start(self) -> None:
+        """Start the control loop."""
+        self.policy.start()
 
-            while any(c.state is ContainerState.STARTING for c in created):
-                if not self.engine.step():  # pragma: no cover - defensive
-                    break
+    def _kernel(self) -> Any:
+        """The columnar kernel when that plane was asked for and the policy has a plan."""
+        if self.data_plane != "columnar":
+            return None
+        from repro.sim.columnar import build_kernel
+
+        return build_kernel(self.engine, self.cluster, self.policy, self.generators)
 
     def run(self, duration: float, extra_drain: float = 5.0) -> SimulationResult:
         """Run the simulation for ``duration`` seconds of workload.
@@ -267,26 +345,7 @@ class SimulationRunner:
         ``extra_drain`` extends the event loop past the workload horizon so
         in-flight requests can complete and be counted.
         """
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        self.prewarm()
-        self.policy.start()
-        for generator in self.generators:
-            if generator.horizon is None or generator.horizon > duration:
-                generator.horizon = duration
-        kernel = None
-        if self.data_plane == "columnar":
-            from repro.sim.columnar import build_kernel
-
-            kernel = build_kernel(self.engine, self.cluster, self.policy,
-                                  self.generators)
-        if kernel is not None:
-            kernel.run(until=duration + extra_drain)
-        else:
-            for generator in self.generators:
-                generator.start()
-            self.engine.run(until=duration + extra_drain)
-        generated = {g.profile.name: g.generated for g in self.generators}
+        generated = self._drive(duration, extra_drain)
         return SimulationResult(
             metrics=self.metrics,
             cluster=self.cluster,
@@ -296,4 +355,4 @@ class SimulationRunner:
         )
 
 
-__all__ = ["SimulationRunner", "SimulationResult"]
+__all__ = ["RunAssembly", "SimulationRunner", "SimulationResult"]

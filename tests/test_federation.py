@@ -36,6 +36,7 @@ from repro.federation.router import (
     router_names,
     validate_router,
 )
+from repro.federation.runner import FederatedSimulationRunner
 from repro.federation.spec import FederationSpec
 from repro.metrics.availability import AvailabilityTracker, RecoveryRecord
 from repro.scenarios.registry import FIG12_ROUTERS, build
@@ -274,6 +275,18 @@ class TestScenarioFederationValidation:
         with pytest.raises(ValueError, match="timeline"):
             ScenarioSpec.from_dict(data)
 
+    @pytest.mark.parametrize("controller", [
+        {"policy": "noop"},
+        {"policy": "static", "policy_params": {"allocations": {"geofence": 1}}},
+    ])
+    def test_controller_policy_rejected_for_site_policies(self, controller):
+        # each site runs federation.sites[*].policy; a controller-level
+        # policy would be silently ignored
+        data = _scenario_dict()
+        data["controller"] = controller
+        with pytest.raises(ValueError, match=r"federation\.sites\[\*\]\.policy"):
+            ScenarioSpec.from_dict(data)
+
 
 # ----------------------------------------------------------------------
 # Site-scoped availability records (a rejoined site may be smaller)
@@ -379,6 +392,23 @@ class TestFederatedBehaviour:
         lost_capacity = 1.0 - faulted.data["faults"]["capacity_availability"]
         assert f >= h - lost_capacity - 0.05
         assert faulted.data["faults"]["request_availability"] > 0.99
+
+
+def test_prewarm_then_run_creates_the_warm_fleet_once():
+    # noop sites never scale, so the origin's fleet is exactly the warm start
+    sites = [dict(site, policy="noop") for site in _federation_dict()["sites"]]
+    spec = ScenarioSpec.from_dict(dict(_scenario_dict(sites=sites),
+                                       warm_start={"geofence": 2}))
+    runner = FederatedSimulationRunner(
+        workloads=[w.build() for w in spec.workloads],
+        federation=spec.federation,
+        seed=spec.seed,
+        warm_start_containers=dict(spec.warm_start),
+    )
+    runner.prewarm()
+    runner.run(duration=10.0)
+    origin = runner.federation.site(spec.federation.origin_of("geofence"))
+    assert len(origin.cluster.containers_of("geofence")) == 2
 
 
 # ----------------------------------------------------------------------

@@ -224,23 +224,23 @@ class TestCollector:
 
 
 class TestStreamingPercentiles:
-    """Opt-in constant-memory percentile mode (PR-1)."""
+    """The reservoir quantile sketch and the percentile helper."""
 
-    def test_streaming_summary_robust_to_zero_wait_atom(self):
+    def test_reservoir_robust_to_zero_wait_atom(self):
         # >50% of simulated waits are exactly zero (idle-container hits); the
         # quantile sketch must represent that atom with its true mass
         import numpy as np
-        from repro.metrics.streaming import StreamingSummary
+        from repro.metrics.streaming import ReservoirQuantiles
 
         rng = np.random.default_rng(13)
         positives = rng.exponential(1.0, 5_000)
         waits = np.concatenate([np.zeros(6_000), positives])
         rng.shuffle(waits)
-        streaming = StreamingSummary()
-        streaming.extend(waits)
+        sketch = ReservoirQuantiles()
+        sketch.add_many(waits.tolist())
         exact95 = float(np.quantile(waits, 0.95))
-        assert streaming.summary().p95 == pytest.approx(exact95, rel=0.15)
-        assert streaming.summary().median == 0.0
+        assert sketch.quantile(0.95) == pytest.approx(exact95, rel=0.15)
+        assert sketch.quantile(0.5) == 0.0
 
     def test_reservoir_quantiles_validation(self):
         from repro.metrics.streaming import ReservoirQuantiles
@@ -251,46 +251,6 @@ class TestStreamingPercentiles:
         assert sketch.quantile(0.5) == 0.0  # empty sketch
         with pytest.raises(ValueError):
             sketch.quantile(1.5)
-
-    def test_streaming_summary_matches_stored_mode(self):
-        import numpy as np
-        from repro.metrics.streaming import StreamingSummary
-
-        rng = np.random.default_rng(7)
-        waits = rng.exponential(0.05, 20_000)
-        streaming = StreamingSummary()
-        streaming.extend(waits)
-        summary = streaming.summary()
-        assert summary.count == waits.size
-        assert summary.mean == pytest.approx(float(waits.mean()), rel=1e-6)
-        assert summary.minimum == pytest.approx(float(waits.min()))
-        assert summary.maximum == pytest.approx(float(waits.max()))
-        assert summary.p95 == pytest.approx(float(np.quantile(waits, 0.95)), rel=0.05)
-        assert summary.p99 == pytest.approx(float(np.quantile(waits, 0.99)), rel=0.05)
-
-    def test_collector_streaming_mode(self):
-        collector = MetricsCollector(streaming_percentiles=True, store_requests=False)
-        for i in range(500):
-            request = completed_request(arrival=float(i), wait=0.01 * (i % 10))
-            collector.record_request(request)
-            collector.record_completion(request)
-        assert collector.requests == []            # nothing retained
-        summary = collector.waiting_summary()
-        assert summary.count == 500
-        assert 0.0 <= summary.median <= 0.09
-        per_function = collector.waiting_summary("fn")
-        assert per_function.count == 500
-        assert collector.waiting_summary("other").count == 0
-        assert collector.counters["completions"] == 500
-
-    def test_streaming_mode_rejects_warmup(self):
-        collector = MetricsCollector(streaming_percentiles=True, store_requests=False)
-        with pytest.raises(ValueError):
-            collector.waiting_summary(warmup=10.0)
-
-    def test_store_requests_off_requires_streaming(self):
-        with pytest.raises(ValueError):
-            MetricsCollector(store_requests=False)
 
     def test_default_behaviour_unchanged(self):
         collector = MetricsCollector()
